@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -17,7 +18,10 @@ DEFAULT_TOP_K = 100
 
 @dataclass(frozen=True)
 class DescriptorVector:
-    """Sparse top-K descriptor representation of one document."""
+    """Sparse top-K descriptor representation of one document.
+
+    ``entries`` must not change once built: ``norm()`` is cached.
+    """
 
     doc_id: str
     lang: str
@@ -28,6 +32,11 @@ class DescriptorVector:
         return sorted(self.entries.items(), key=lambda cs: (-cs[1], cs[0]))
 
     def norm(self) -> float:
+        return self._norm
+
+    @cached_property
+    def _norm(self) -> float:
+        # once per vector: every search takes the norm of every candidate
         return math.sqrt(sum(s * s for s in self.entries.values()))
 
     def __len__(self) -> int:

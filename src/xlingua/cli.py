@@ -40,7 +40,7 @@ from xlingua.similarity import (
     LengthModel,
     SimilarityOptions,
     dedupe,
-    detect_translation,
+    detect_translations,
     find_most_similar,
     load_length_model,
 )
@@ -94,12 +94,14 @@ def _cmd_assign(args) -> int:
     return 0
 
 
-def _load_records(args) -> list[DocRecord]:
-    """Assign every manifest document with the profile set for its language."""
-    profile_sets = {}
-    for path in (args.profiles_src, args.profiles_tgt):
-        ps = load_profiles(path)
-        profile_sets[ps.lang] = ps
+def _load_records(args) -> tuple[list[DocRecord], str]:
+    """Assign every manifest document with the profile set for its language.
+
+    Returns the records and the language of the source profile set.
+    """
+    src_profiles = load_profiles(args.profiles_src)
+    tgt_profiles = load_profiles(args.profiles_tgt)
+    profile_sets = {src_profiles.lang: src_profiles, tgt_profiles.lang: tgt_profiles}
     records = []
     for raw in read_manifest(args.candidates):
         if raw.lang not in profile_sets:
@@ -114,7 +116,7 @@ def _load_records(args) -> list[DocRecord]:
                 char_length=doc.char_length,
             )
         )
-    return records
+    return records, src_profiles.lang
 
 
 def _similarity_opts(args) -> tuple[SimilarityOptions, LengthModel | None]:
@@ -130,7 +132,7 @@ def _similarity_opts(args) -> tuple[SimilarityOptions, LengthModel | None]:
 
 
 def _cmd_similar(args) -> int:
-    records = _load_records(args)
+    records, _ = _load_records(args)
     by_id = {r.id: r for r in records}
     if args.query not in by_id:
         raise XlinguaError(f"query id {args.query!r} not found in candidates manifest")
@@ -146,23 +148,32 @@ def _cmd_similar(args) -> int:
 
 
 def _cmd_find_translations(args) -> int:
-    records = _load_records(args)
+    records, src_lang = _load_records(args)
     opts, model = _similarity_opts(args)
-    src_lang = load_profiles(args.profiles_src).lang
-    queries = (
+    selected = (
         [r for r in records if r.id == args.query]
         if args.query
         else [r for r in records if r.lang == src_lang]
     )
-    if not queries:
+    if not selected:
         raise XlinguaError("no query documents selected")
-    for q in queries:
-        found = detect_translation(q, records, opts, model)
-        if found is None:
+    # without a length ratio the length factor is undefined: report such a
+    # query and decide the others
+    has_ratio = [not opts.use_length_factor or q.char_length > 0 for q in selected]
+    scorable = [q for q, ok in zip(selected, has_ratio) if ok]
+    found = iter(detect_translations(scorable, records, opts, model))
+    status = 0
+    for q, ok in zip(selected, has_ratio):
+        if not ok:
+            print(f"error: query {q.id}: zero-length document has no length ratio", file=sys.stderr)
+            status = 1
+            continue
+        match = next(found)
+        if match is None:
             print(f"{q.id}\t-\t-")
         else:
-            print(f"{q.id}\t{found.candidate_id}\t{found.final_score:.6f}")
-    return 0
+            print(f"{q.id}\t{match.candidate_id}\t{match.final_score:.6f}")
+    return status
 
 
 def _cmd_dedupe(args) -> int:
@@ -192,7 +203,15 @@ def _cmd_evaluate(args) -> int:
     extra = None
     if args.mode == "T3":
         second = generate_synthetic(dataclasses.replace(spec, rng_seed=spec.rng_seed + 1))
-        extra = build_pipeline(second).tgt_records
+        # the second collection reuses the first one's ids; prefix them so
+        # that a distractor is never taken for the true translation
+        extra = [
+            DocRecord(
+                vector=dataclasses.replace(r.vector, doc_id=f"x-{r.id}"),
+                char_length=r.char_length,
+            )
+            for r in build_pipeline(second).tgt_records
+        ]
     report = run_experiment(pipeline, args.mode, opts, extra_targets=extra)
     text = report_to_tsv(report)
     with open(args.out, "w", encoding="utf-8") as fh:

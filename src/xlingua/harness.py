@@ -19,19 +19,20 @@ Every experiment is scored twice, with and without the length factor.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from xlingua.assign import assign
 from xlingua.errors import ValidationError
-from xlingua.normalize import LanguageResources, NormalizedDocument, RawDocument, normalize
+from xlingua.normalize import LanguageResources, NormalizedDocument, normalize
 from xlingua.profiles import ProfileSet, TrainingConfig, train_profiles
 from xlingua.similarity import (
     DocRecord,
     LengthModel,
     SimilarityOptions,
-    cosine,
     estimate_length_model,
-    length_factor,
+    score_matrix,
 )
 from xlingua.synthesis import ParallelCorpus, SyntheticCorpus
 from xlingua.thesaurus import Thesaurus
@@ -143,61 +144,40 @@ def build_pipeline_from_parts(
     )
 
 
-def _score_all(
-    query: DocRecord,
-    candidates: list[DocRecord],
-    model: LengthModel,
-    use_lf: bool,
-    bias: float,
-    lf_only: bool,
-) -> list[tuple[str, float]]:
-    scored = []
-    for c in candidates:
-        if c.id == query.id:
-            continue
-        lf = (
-            length_factor(query.char_length, c.char_length, query.lang, c.lang, model)
-            if use_lf
-            else 1.0
-        )
-        score = lf if lf_only else cosine(query.vector, c.vector) * lf
-        if c.lang == query.lang:
-            score *= bias
-        scored.append((c.id, score))
-    return scored
-
-
 def _variant(
     queries: list[DocRecord],
     candidates: list[DocRecord],
     truth: dict[str, str],
     model: LengthModel,
-    use_lf: bool,
-    bias: float,
+    opts: SimilarityOptions,
     lf_only: bool,
-    threshold: float,
 ) -> VariantResult:
-    histogram: Counter[int] = Counter()
-    outcomes: list[tuple[bool, float]] = []
-    for q in queries:
-        scored = _score_all(q, candidates, model, use_lf, bias, lf_only)
-        if not scored:
-            raise ValidationError("empty candidate set")
-        true_id = truth[q.id]
-        true_score = next(s for cid, s in scored if cid == true_id)
-        rank = 1 + sum(
-            1 for cid, s in scored if s > true_score or (s == true_score and cid < true_id)
-        )
-        histogram[rank] += 1
-        best_id, best_score = min(scored, key=lambda cs: (-cs[1], cs[0]))
-        outcomes.append((best_id == true_id, best_score))
+    """Rank every query's true translation among ``candidates``.
+
+    ``candidates`` must be sorted by id with no id repeated: the column
+    order then breaks score ties by ascending id.
+    """
+    _, _, final = score_matrix(queries, candidates, opts, model, lf_only)
+    if np.isneginf(final).all(axis=1).any():
+        raise ValidationError("empty candidate set")
+    column = {c.id: j for j, c in enumerate(candidates)}
+    true_col = np.array([column[truth[q.id]] for q in queries], dtype=np.intp)
+    rows = np.arange(len(queries))
+    true_score = final[rows, true_col][:, None]
+    ahead = (final > true_score) | (
+        (final == true_score) & (np.arange(len(candidates))[None, :] < true_col[:, None])
+    )
+    ranks = 1 + ahead.sum(axis=1)
+    best_col = final.argmax(axis=1)  # first maximum: the smallest id among ties
+    outcomes = list(zip((best_col == true_col).tolist(), final[rows, best_col].tolist()))
+    histogram = Counter(ranks.tolist())
     n = len(queries)
     return VariantResult(
         precision_at_1=histogram[1] / n,
         precision_at_3=sum(c for r, c in histogram.items() if r <= 3) / n,
         rank_histogram=dict(sorted(histogram.items())),
-        recall_at_threshold=sum(1 for ok, s in outcomes if ok and s >= threshold) / n,
-        noise_at_threshold=sum(1 for ok, s in outcomes if not ok and s >= threshold) / n,
+        recall_at_threshold=sum(1 for ok, s in outcomes if ok and s >= opts.threshold) / n,
+        noise_at_threshold=sum(1 for ok, s in outcomes if not ok and s >= opts.threshold) / n,
         outcomes=outcomes,
     )
 
@@ -246,6 +226,10 @@ def run_experiment(
 
     if not queries:
         raise ValidationError("experiment has no queries")
+    candidates.sort(key=lambda c: c.id)
+    for a, b in zip(candidates, candidates[1:]):
+        if a.id == b.id:
+            raise ValidationError(f"candidate id {a.id!r} occurs more than once")
 
     variants = {
         use_lf: _variant(
@@ -253,10 +237,8 @@ def run_experiment(
             candidates,
             pipeline.truth,
             pipeline.length_model,
-            use_lf,
-            bias,
+            replace(opts, use_length_factor=use_lf, same_language_bias=bias),
             lf_only,
-            opts.threshold,
         )
         for use_lf in (False, True)
     }
@@ -328,12 +310,3 @@ def report_to_tsv(report: EvaluationReport) -> str:
             )
         )
     return "\n".join(["\t".join(header)] + rows) + "\n"
-
-
-def dedupe_raw(
-    docs: list[RawDocument], threshold: float = 0.95
-) -> tuple[list[RawDocument], list[tuple[str, str, float]]]:
-    """Convenience re-export of the raw-text near-duplicate filter."""
-    from xlingua.similarity import dedupe
-
-    return dedupe(docs, threshold)

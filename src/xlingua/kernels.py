@@ -3,7 +3,7 @@
 Both kernels ship in two flavours: a numba @njit version and a pure-numpy
 fallback.  The numba path is used when numba imports cleanly, unless the
 environment variable XLINGUA_NUMBA is set to "0".  The two paths are
-numerically interchangeable; benchmarks/bench_kernels.py compares them.
+numerically interchangeable; tests/test_kernels.py compares them.
 """
 
 from __future__ import annotations

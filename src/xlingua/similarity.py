@@ -6,6 +6,13 @@ character-length ratio centered at the language pair's mean translation
 length ratio; the bias multiplies candidates that share the query's
 language so same-language duplicates do not systematically outrank true
 translations.
+
+``score_matrix`` is the one scoring path: it scores every query against
+every candidate at once, from dense arrays of descriptor weights, and is
+what the search functions, the experiment harness and the CLI call.  The
+scalar ``cosine``, ``length_factor`` and ``similarity`` compute the same
+formula for one pair; they are kept as the reference the engine is
+tested against.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from xlingua.assign import DescriptorVector
 from xlingua.errors import ConfigError, ParseError, ValidationError
@@ -24,6 +33,10 @@ DEFAULT_THRESHOLD = 0.70
 DEDUPE_THRESHOLD = 0.95
 SHINGLE_SIZE = 5
 SIGMA_FLOOR = 1e-6
+# Elements of one block of query x candidate x code products in score_matrix.
+_PRODUCT_BLOCK = 1 << 15
+# Scores in one block of query rows in detect_translations.
+_SCORE_BLOCK = 1 << 20
 
 
 @dataclass
@@ -42,8 +55,11 @@ class LengthModel:
         raise ConfigError(f"no length model entry for pair {src_lang!r} -> {tgt_lang!r}")
 
     def set(self, src_lang: str, tgt_lang: str, mu: float, sigma: float) -> None:
-        if mu <= 0 or sigma <= 0:
-            raise ValidationError("length model mu and sigma must be positive")
+        # nan fails every comparison, so test for the legal range, not against it
+        if not (0 < mu < math.inf and 0 < sigma < math.inf):
+            raise ValidationError(
+                f"length model mu and sigma must be finite and positive, got {mu} and {sigma}"
+            )
         self.pairs[(src_lang, tgt_lang)] = (mu, sigma)
 
 
@@ -119,7 +135,10 @@ def similarity(
     opts: SimilarityOptions,
     model: LengthModel | None = None,
 ) -> tuple[float, float, float]:
-    """Score one candidate; returns (raw_cosine, length_factor, final)."""
+    """Score one candidate; returns (raw_cosine, length_factor, final).
+
+    The one-pair reference that ``score_matrix`` is tested against.
+    """
     raw = cosine(query.vector, cand.vector)
     lf = 1.0
     if opts.use_length_factor:
@@ -132,6 +151,136 @@ def similarity(
     return raw, lf, final
 
 
+def _cosines(queries: Sequence[DocRecord], candidates: Sequence[DocRecord]) -> np.ndarray:
+    """Q x C cosines over the union of codes, as ``cosine`` defines them.
+
+    Each dot product is summed one code at a time in ascending code order,
+    the order ``cosine`` uses, and each norm is ``DescriptorVector.norm``.
+    A BLAS matrix product would sum in an order that depends on where a
+    candidate sits in the matrix, so that identical candidates could score
+    apart by rounding and exact ties would not be broken by id.
+    """
+    records = [*queries, *candidates]
+    codes: list[int] = []
+    weights: list[float] = []
+    sizes = []
+    norms = []
+    for r in records:
+        entries = r.vector.entries
+        codes += entries
+        weights += entries.values()
+        sizes.append(len(entries))
+        norms.append(r.vector.norm())
+    distinct, column = np.unique(np.array(codes, dtype=np.int64), return_inverse=True)
+    # One trailing zero column keeps every row non-empty; adding 0.0 to a
+    # sum is exact.
+    dense = np.zeros((len(records), len(distinct) + 1))
+    dense[np.repeat(np.arange(len(records)), sizes), column] = weights
+    norm = np.array(norms)
+    n_q, n_c = len(queries), len(candidates)
+    q, c = dense[:n_q], dense[n_q:]
+    dots = np.empty((n_q, n_c))
+    step = max(1, _PRODUCT_BLOCK // max(1, c.size))
+    for lo in range(0, n_q, step):
+        products = q[lo : lo + step, None, :] * c[None, :, :]
+        dots[lo : lo + step] = np.cumsum(products, axis=2, out=products)[:, :, -1]
+    cos = np.zeros_like(dots)
+    np.divide(dots, np.outer(norm[:n_q], norm[n_q:]), out=cos, where=dots != 0.0)
+    return np.minimum(cos, 1.0, out=cos)
+
+
+def _length_factors(
+    queries: Sequence[DocRecord],
+    candidates: Sequence[DocRecord],
+    model: LengthModel,
+    langs: list[str],
+    q_lang: np.ndarray,
+    c_lang: np.ndarray,
+) -> np.ndarray:
+    """Q x C Gaussian length factors, (mu, sigma) per language pair.
+
+    ``q_lang``/``c_lang`` index each record's language in ``langs``.
+    """
+    for q in queries:
+        if q.char_length <= 0:
+            raise ValidationError(f"query {q.id}: source length must be positive")
+    mu = np.ones((len(langs), len(langs)))
+    sigma = np.ones((len(langs), len(langs)))
+    for qi in set(q_lang.tolist()):
+        for ci in set(c_lang.tolist()):
+            mu[qi, ci], sigma[qi, ci] = model.get(langs[qi], langs[ci])
+    pair = (q_lang[:, None], c_lang[None, :])
+    ratio = (
+        np.array([c.char_length for c in candidates], dtype=np.float64)[None, :]
+        / np.array([q.char_length for q in queries], dtype=np.float64)[:, None]
+    )
+    z = (ratio - mu[pair]) / sigma[pair]
+    return np.exp(-0.5 * z * z)
+
+
+def score_matrix(
+    queries: Sequence[DocRecord],
+    candidates: Sequence[DocRecord],
+    opts: SimilarityOptions,
+    model: LengthModel | None = None,
+    lf_only: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score every query against every candidate; returns Q x C (raw, lf, final).
+
+    final = raw cosine x length factor (1 when ``opts.use_length_factor``
+    is off) x ``opts.same_language_bias`` where the candidate shares the
+    query's language.  A candidate carrying the query's own id scores
+    -inf in ``final``.  ``lf_only`` is the length-factor-only ablation:
+    the cosine is not computed and counts as 1.
+    """
+    shape = (len(queries), len(candidates))
+    index: dict[str, int] = {}
+    q_lang = np.array([index.setdefault(q.lang, len(index)) for q in queries], dtype=np.intp)
+    c_lang = np.array([index.setdefault(c.lang, len(index)) for c in candidates], dtype=np.intp)
+    raw = np.ones(shape) if lf_only else _cosines(queries, candidates)
+    if opts.use_length_factor:
+        if model is None:
+            raise ConfigError("length factor enabled but no length model given")
+        lf = _length_factors(queries, candidates, model, list(index), q_lang, c_lang)
+    else:
+        lf = np.ones(shape)
+    final = raw * lf
+    final[q_lang[:, None] == c_lang[None, :]] *= opts.same_language_bias
+    position: dict[str, list[int]] = {}
+    for j, c in enumerate(candidates):
+        position.setdefault(c.id, []).append(j)
+    for i, q in enumerate(queries):
+        if q.id in position:
+            final[i, position[q.id]] = -np.inf
+    return raw, lf, final
+
+
+def _ranked(
+    candidates: Sequence[DocRecord], raw: np.ndarray, lf: np.ndarray, final: np.ndarray, top_k: int
+) -> list[RankedMatch]:
+    """The top_k of one score row, descending final score, ties by id."""
+    pool = np.flatnonzero(final > -np.inf)
+    if not len(pool):
+        raise ValidationError("empty candidate set")
+    if len(pool) > top_k:
+        # every candidate tied with the k-th best competes for the last places
+        kth = np.partition(final[pool], len(pool) - top_k)[len(pool) - top_k]
+        pool = pool[final[pool] >= kth]
+    scores = final.tolist()
+    order = sorted(pool.tolist(), key=lambda j: (-scores[j], candidates[j].id))[:top_k]
+    return [
+        RankedMatch(
+            candidate_id=candidates[j].id,
+            candidate_lang=candidates[j].lang,
+            raw_cosine=float(raw[j]),
+            length_factor=float(lf[j]),
+            final_score=scores[j],
+            rank=i + 1,
+        )
+        for i, j in enumerate(order)
+    ]
+
+
 def find_most_similar(
     query: DocRecord,
     candidates: Sequence[DocRecord],
@@ -139,25 +288,29 @@ def find_most_similar(
     model: LengthModel | None = None,
 ) -> list[RankedMatch]:
     """Exhaustively score all candidates; descending final score, ties by id."""
-    pool = [c for c in candidates if c.id != query.id]
-    if not pool:
-        raise ValidationError("empty candidate set")
-    scored = []
-    for c in pool:
-        raw, lf, final = similarity(query, c, opts, model)
-        scored.append((c, raw, lf, final))
-    scored.sort(key=lambda s: (-s[3], s[0].id))
-    return [
-        RankedMatch(
-            candidate_id=c.id,
-            candidate_lang=c.lang,
-            raw_cosine=raw,
-            length_factor=lf,
-            final_score=final,
-            rank=i + 1,
-        )
-        for i, (c, raw, lf, final) in enumerate(scored[: opts.top_k])
-    ]
+    raw, lf, final = score_matrix([query], candidates, opts, model)
+    return _ranked(candidates, raw[0], lf[0], final[0], opts.top_k)
+
+
+def detect_translations(
+    queries: Sequence[DocRecord],
+    candidates: Sequence[DocRecord],
+    opts: SimilarityOptions,
+    model: LengthModel | None = None,
+) -> list[Optional[RankedMatch]]:
+    """Per query, the rank-1 match if it clears the decision threshold.
+
+    Queries are scored in blocks of rows, so that each Q x C array holds
+    at most about ``_SCORE_BLOCK`` scores whatever the number of queries.
+    """
+    found = []
+    step = max(1, _SCORE_BLOCK // max(1, len(candidates)))
+    for lo in range(0, len(queries), step):
+        raw, lf, final = score_matrix(queries[lo : lo + step], candidates, opts, model)
+        for i in range(len(raw)):
+            best = _ranked(candidates, raw[i], lf[i], final[i], 1)[0]
+            found.append(best if best.final_score >= opts.threshold else None)
+    return found
 
 
 def detect_translation(
@@ -167,8 +320,7 @@ def detect_translation(
     model: LengthModel | None = None,
 ) -> Optional[RankedMatch]:
     """The rank-1 match, if it clears the decision threshold."""
-    best = find_most_similar(query, candidates, opts, model)[0]
-    return best if best.final_score >= opts.threshold else None
+    return detect_translations([query], candidates, opts, model)[0]
 
 
 def estimate_length_model(
@@ -249,7 +401,11 @@ def load_length_model(path: str) -> LengthModel:
             if len(parts) != 5 or parts[0] != "PAIR":
                 raise ParseError(f"{path}:{lineno}: expected PAIR <src> <tgt> <mu> <sigma>")
             try:
-                model.set(parts[1], parts[2], float(parts[3]), float(parts[4]))
+                mu, sigma = float(parts[3]), float(parts[4])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: malformed numbers") from exc
+            try:
+                model.set(parts[1], parts[2], mu, sigma)
+            except ValidationError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return model

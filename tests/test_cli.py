@@ -121,6 +121,60 @@ def test_find_translations_reports_decision(workspace, capsys):
     assert fields[1] == "te0001-es" or fields[1] == "-"
 
 
+def test_find_translations_reports_zero_length_query_and_decides_the_rest(
+    workspace, tmp_path, capsys
+):
+    corpus = workspace / "corpus"
+    lines = []
+    for line in (corpus / "test_manifest.tsv").read_text(encoding="utf-8").splitlines():
+        doc_id, lang, rel_path, codes = line.split("\t")
+        lines.append("\t".join([doc_id, lang, str(corpus / rel_path), codes]))
+    n_src = sum(1 for line in lines if line.split("\t")[1] == "en")
+    (tmp_path / "empty.txt").write_text("", encoding="utf-8")
+    lines.insert(1, f"empty-en\ten\t{tmp_path / 'empty.txt'}\t")
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main([
+        "find-translations",
+        "--profiles-src", str(workspace / "en.prof"),
+        "--profiles-tgt", str(workspace / "es.prof"),
+        "--candidates", str(manifest),
+        "--resources", str(corpus / "resources"),
+        "--length-model", str(workspace / "model.lm"),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "empty-en" in captured.err
+    decided = [line.split("\t")[0] for line in captured.out.strip().splitlines()]
+    assert len(decided) == n_src and "empty-en" not in decided
+
+
+def test_non_finite_length_model_exits_1_with_location(workspace, tmp_path, capsys):
+    bad = tmp_path / "bad.lm"
+    bad.write_text("PAIR en es 1.1 0.05\nPAIR es en nan nan\n", encoding="utf-8")
+    code = main([
+        "similar",
+        "--profiles-src", str(workspace / "en.prof"),
+        "--profiles-tgt", str(workspace / "es.prof"),
+        "--query", "te0000-en",
+        "--candidates", str(workspace / "corpus" / "test_manifest.tsv"),
+        "--length-model", str(bad),
+    ])
+    assert code == 1
+    assert f"{bad}:2:" in capsys.readouterr().err
+
+
+def test_evaluate_t3_keeps_distractor_ids_apart(workspace, tmp_path):
+    out = tmp_path / "t3.tsv"
+    code = main([
+        "evaluate", "--mode", "T3",
+        "--spec", str(workspace / "spec.json"),
+        "--out", str(out),
+    ])
+    assert code == 0
+    assert out.read_text(encoding="utf-8").splitlines()[1].startswith("T3\t12\t")
+
+
 def test_dedupe_cli(workspace, tmp_path, capsys):
     text = " ".join(f"tok{i}" for i in range(200))
     (tmp_path / "a.txt").write_text(text, encoding="utf-8")

@@ -6,13 +6,12 @@ from xlingua.errors import ValidationError
 from xlingua.harness import (
     MODES,
     build_pipeline,
-    dedupe_raw,
     report_to_tsv,
     run_experiment,
     sweep_threshold,
 )
 from xlingua.normalize import RawDocument
-from xlingua.similarity import SimilarityOptions, cosine, length_factor
+from xlingua.similarity import SimilarityOptions, cosine, dedupe, length_factor
 from xlingua.synthesis import SyntheticSpec, generate_synthetic
 
 MICRO = dict(
@@ -80,6 +79,13 @@ def test_all_modes_run(micro_pipeline):
         assert 0.0 <= report.lf.precision_at_1 <= 1.0
 
 
+def test_repeated_candidate_ids_rejected(micro_pipeline):
+    """A second collection reusing the test ids would let a distractor
+    count as the true translation."""
+    with pytest.raises(ValidationError, match="more than once"):
+        run_experiment(micro_pipeline, "T3", extra_targets=micro_pipeline.tgt_records)
+
+
 def test_unknown_mode_rejected(micro_pipeline):
     with pytest.raises(ValidationError):
         run_experiment(micro_pipeline, "T9")
@@ -142,6 +148,6 @@ def test_dedupe_raw_convenience():
         RawDocument(id="b", lang="en", text=text + " extra"),
         RawDocument(id="c", lang="en", text=" ".join(f"v{i}" for i in range(300))),
     ]
-    kept, report = dedupe_raw(docs)
+    kept, report = dedupe(docs)
     assert [d.id for d in kept] == ["a", "c"]
     assert report[0][:2] == ("a", "b")

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlingua.assign import DescriptorVector
-from xlingua.errors import ConfigError, ValidationError
+from xlingua.errors import ConfigError, ParseError, ValidationError
 from xlingua.normalize import NormalizedDocument, RawDocument
 from xlingua.similarity import (
     DocRecord,
@@ -218,3 +218,15 @@ def test_length_model_round_trip(tmp_path):
     save_length_model(loaded, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
     assert loaded.pairs == model.pairs
+
+
+@pytest.mark.parametrize(
+    "mu, sigma", [("nan", "nan"), ("1.1", "inf"), ("-inf", "0.05"), ("1.1", "0")]
+)
+def test_length_model_loader_rejects_non_finite_or_non_positive(tmp_path, mu, sigma):
+    path = tmp_path / "bad.lm"
+    path.write_text(f"# fitted\nPAIR en es {mu} {sigma}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"{path}:2:"):
+        load_length_model(str(path))
+    with pytest.raises(ValidationError):
+        LengthModel().set("en", "es", float(mu), float(sigma))
