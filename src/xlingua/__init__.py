@@ -31,15 +31,12 @@ from xlingua.similarity import (
     LengthModel,
     RankedMatch,
     SimilarityOptions,
-    cosine,
     dedupe,
     detect_translation,
     detect_translations,
     estimate_length_model,
     find_most_similar,
-    length_factor,
     score_matrix,
-    similarity,
 )
 from xlingua.errors import ConfigError, ParseError, ValidationError, XlinguaError
 

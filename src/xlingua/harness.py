@@ -35,7 +35,6 @@ from xlingua.similarity import (
     score_matrix,
 )
 from xlingua.synthesis import ParallelCorpus, SyntheticCorpus
-from xlingua.thesaurus import Thesaurus
 
 MODES = ("T1ES", "T1SE", "T1ESLF", "T3", "BIL", "BILW", "THBIL", "THBILW")
 
@@ -92,31 +91,13 @@ def build_pipeline(
     k: int = 100,
 ) -> Pipeline:
     """Normalize, train per-language profiles, assign test docs, fit lengths."""
-    return build_pipeline_from_parts(
-        thesaurus=corpus.thesaurus,
-        resources=corpus.resources,
-        train=corpus.train,
-        test=corpus.test,
-        config=config,
-        k=k,
-    )
-
-
-def build_pipeline_from_parts(
-    thesaurus: Thesaurus,
-    resources: dict[str, LanguageResources],
-    train: ParallelCorpus,
-    test: ParallelCorpus,
-    config: TrainingConfig | None = None,
-    k: int = 100,
-) -> Pipeline:
-    train_norm = normalize_corpus(train, resources)
-    test_norm = normalize_corpus(test, resources)
-    src_lang, tgt_lang = train.src_lang, train.tgt_lang
+    train_norm = normalize_corpus(corpus.train, corpus.resources)
+    test_norm = normalize_corpus(corpus.test, corpus.resources)
+    src_lang, tgt_lang = corpus.train.src_lang, corpus.train.tgt_lang
 
     profiles = {
-        src_lang: train_profiles([s for s, _ in train_norm], thesaurus, config),
-        tgt_lang: train_profiles([t for _, t in train_norm], thesaurus, config),
+        src_lang: train_profiles([s for s, _ in train_norm], corpus.thesaurus, config),
+        tgt_lang: train_profiles([t for _, t in train_norm], corpus.thesaurus, config),
     }
 
     model = LengthModel()

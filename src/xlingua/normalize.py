@@ -180,11 +180,16 @@ def read_manifest(path: str) -> list[RawDocument]:
             if doc_id in seen:
                 raise ValidationError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
             seen.add(doc_id)
-            codes = (
-                frozenset(int(c) for c in codes_field.split(",") if c.strip())
-                if codes_field.strip()
-                else None
-            )
+            try:
+                codes = (
+                    frozenset(int(c) for c in codes_field.split(",") if c.strip())
+                    if codes_field.strip()
+                    else None
+                )
+            except ValueError:
+                raise ParseError(
+                    f"{path}:{lineno}: descriptor codes {codes_field!r} are not comma-separated integers"
+                ) from None
             doc_path = rel_path if os.path.isabs(rel_path) else os.path.join(base, rel_path)
             with open(doc_path, encoding="utf-8") as doc_fh:
                 text = doc_fh.read()

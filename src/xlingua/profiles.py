@@ -266,15 +266,15 @@ def load_profiles(path: str) -> ProfileSet:
     n_docs = 0
     profiles: dict[int, AssociateProfile] = {}
     current_code: int | None = None
-    current: list[tuple[str, float]] = []
+    current: dict[str, float] = {}  # lemma -> weight, in file order
 
     def flush() -> None:
         nonlocal current_code, current
         if current_code is not None:
             profiles[current_code] = AssociateProfile.from_associates(
-                current_code, lang, current
+                current_code, lang, current.items()
             )
-        current_code, current = None, []
+        current_code, current = None, {}
 
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -284,16 +284,29 @@ def load_profiles(path: str) -> ProfileSet:
             parts = line.split()
             try:
                 if parts[0] == "PROFILESET":
+                    if lang is not None:
+                        raise ParseError(f"{path}:{lineno}: repeated PROFILESET header")
                     lang, n_docs = parts[1], int(parts[2])
                 elif parts[0] == "P":
                     if lang is None:
                         raise ParseError(f"{path}:{lineno}: P before PROFILESET header")
                     flush()
                     current_code = int(parts[1])
+                    if current_code in profiles:
+                        raise ParseError(f"{path}:{lineno}: repeated profile P {current_code}")
                 elif parts[0] == "A":
                     if current_code is None:
                         raise ParseError(f"{path}:{lineno}: A outside a profile")
-                    current.append((parts[1], float(parts[2])))
+                    w = float(parts[2])
+                    if not (math.isfinite(w) and w >= 0.0):
+                        raise ParseError(f"{path}:{lineno}: weight {parts[2]!r} must be finite and >= 0")
+                    # the saver writes weights in non-increasing order; equal
+                    # neighbours are legal since it rounds to 6 decimals
+                    if current and w > next(reversed(current.values())):
+                        raise ParseError(f"{path}:{lineno}: weight {parts[2]} exceeds the one above it")
+                    if parts[1] in current:
+                        raise ParseError(f"{path}:{lineno}: repeated associate {parts[1]!r}")
+                    current[parts[1]] = w
                 else:
                     raise ParseError(f"{path}:{lineno}: unknown tag {parts[0]!r}")
             except (ValueError, IndexError) as exc:

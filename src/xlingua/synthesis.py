@@ -27,7 +27,7 @@ import os
 import random
 from dataclasses import dataclass, field
 
-from xlingua.errors import ValidationError
+from xlingua.errors import ConfigError, ValidationError
 from xlingua.normalize import LanguageResources, RawDocument
 from xlingua.thesaurus import Descriptor, Thesaurus
 
@@ -106,7 +106,24 @@ class SyntheticSpec:
     @staticmethod
     def from_json(path: str) -> "SyntheticSpec":
         with open(path, encoding="utf-8") as fh:
-            return SyntheticSpec(**json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: expected a JSON object, got {type(data).__name__}")
+        kinds = {f.name: type(f.default) for f in dataclasses.fields(SyntheticSpec)}
+        for key, value in data.items():
+            if key not in kinds:
+                raise ConfigError(f"{path}: unknown spec key {key!r}")
+            kind = kinds[key]
+            # JSON has one number type: a float field takes an integer too
+            if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+                raise ConfigError(f"{path}: {key} must be {kind.__name__}, got {value!r}")
+        try:
+            return SyntheticSpec(**data)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
     def to_json(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -224,3 +224,26 @@ def test_validation_error_exits_1(workspace, capsys):
 def test_missing_file_exits_2(capsys):
     code = main(["assign", "--profiles", "/nonexistent.prof", "--doc", "/nonexistent.txt"])
     assert code == 2
+
+
+def test_dedupe_non_integer_manifest_code_exits_1(tmp_path, capsys):
+    (tmp_path / "a.txt").write_text("x", encoding="utf-8")
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("a\ten\ta.txt\t1,x\n", encoding="utf-8")
+    assert main(["dedupe", "--candidates", str(manifest)]) == 1
+    assert "m.tsv:1:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"n_descriptors": 8, "colour": "red"}', '{"n_descriptors": 8,', "[8, 60]"],
+    ids=["unknown-key", "bad-json", "not-an-object"],
+)
+@pytest.mark.parametrize("command", ["gen-corpus", "evaluate"])
+def test_bad_spec_file_exits_1(tmp_path, capsys, text, command):
+    spec = tmp_path / "bad_spec.json"
+    spec.write_text(text, encoding="utf-8")
+    out = tmp_path / ("corpus" if command == "gen-corpus" else "report.tsv")
+    extra = ["--mode", "T1ES"] if command == "evaluate" else []
+    assert main([command, *extra, "--spec", str(spec), "--out", str(out)]) == 1
+    assert "bad_spec.json" in capsys.readouterr().err

@@ -14,13 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlingua.kernels import (
-    HAS_NUMBA,
-    _csr_cosine_numpy,
-    _g2_batch_numpy,
-    csr_cosine_scores,
-    g2_batch,
-)
+from xlingua.kernels import csr_cosine_scores, g2_batch
 
 
 def oracle_g2(k11, k12, k21, k22):
@@ -130,24 +124,3 @@ def test_csr_cosine_empty_rows_score_zero():
     assert got[0] == 0.0
     assert got[1] == pytest.approx(1.0 / math.sqrt(2.0))
 
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable or disabled")
-def test_kernel_paths_agree():
-    """The jitted kernels and the numpy fallbacks are interchangeable."""
-    rng = random.Random(3)
-    k = [np.array([rng.randint(0, 999) for _ in range(64)], dtype=np.float64) for _ in range(4)]
-    np.testing.assert_allclose(g2_batch(*k), _g2_batch_numpy(*k), atol=1e-10)
-
-    indptr, indices, data = _random_csr(rng, 30, 20)
-    norms = np.sqrt(
-        np.array(
-            [float(np.sum(data[indptr[r] : indptr[r + 1]] ** 2)) for r in range(30)]
-        )
-    )
-    query = np.array([rng.uniform(0, 2) for _ in range(20)])
-    qnorm = math.sqrt(float(query @ query))
-    np.testing.assert_allclose(
-        csr_cosine_scores(indptr, indices, data, norms, query, qnorm),
-        _csr_cosine_numpy(indptr, indices, data, norms, query, qnorm),
-        atol=1e-12,
-    )

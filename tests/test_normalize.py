@@ -120,3 +120,11 @@ def test_read_manifest_duplicate_id(tmp_path):
     manifest.write_text("d1\ten\ta.txt\t\nd1\ten\ta.txt\t\n", encoding="utf-8")
     with pytest.raises(ValidationError):
         read_manifest(str(manifest))
+
+
+def test_read_manifest_non_integer_code_is_a_parse_error(tmp_path):
+    (tmp_path / "a.txt").write_text("x", encoding="utf-8")
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("# header\na\ten\ta.txt\t1,x\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"m\.tsv:2: "):
+        read_manifest(str(manifest))

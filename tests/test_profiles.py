@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlingua.errors import ValidationError
+from xlingua.errors import ParseError, ValidationError
 from xlingua.normalize import NormalizedDocument
 from xlingua.profiles import (
     AssociateProfile,
@@ -191,3 +191,53 @@ def test_training_is_deterministic(tmp_path):
         save_profiles(ps, str(path))
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        ("P 1\nA a 2.000000\nP 1\nA b 1.000000\n", 4),  # repeated block
+        ("P 1\nA a nan\n", 3),
+        ("P 1\nA a inf\n", 3),
+        ("P 1\nA a -1.000000\n", 3),
+        ("P 1\nA a 1.000000\nA b 1.500000\n", 4),  # increasing weights
+        ("P 1\nA a 2.000000\nA a 1.000000\n", 4),  # repeated associate
+        ("P 1\nA a 1.000000\nPROFILESET es 99\nP 2\nA b 1.000000\n", 4),
+    ],
+    ids=["repeated-code", "nan", "inf", "negative", "increasing", "repeated-lemma", "second-header"],
+)
+def test_load_profiles_rejects_what_save_never_writes(tmp_path, body, line):
+    path = tmp_path / "bad.prof"
+    path.write_text("PROFILESET en 10\n" + body, encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"bad\.prof:{line}: "):
+        load_profiles(str(path))
+
+
+def test_load_profiles_accepts_equal_consecutive_weights(tmp_path):
+    path = tmp_path / "eq.prof"
+    path.write_text("PROFILESET en 10\nP 1\nA a 1.000000\nA b 1.000000\n", encoding="utf-8")
+    ps = load_profiles(str(path))
+    assert ps.profiles[1].associates == (("a", 1.0), ("b", 1.0))
+
+
+def test_save_load_round_trip_on_synthetic_profiles(tmp_path):
+    """Both languages' trained profiles reload, including the equal
+    neighbouring weights that rounding to 6 decimals produces."""
+    from xlingua.harness import normalize_corpus
+    from xlingua.synthesis import SyntheticSpec, generate_synthetic
+
+    corpus = generate_synthetic(
+        SyntheticSpec(n_descriptors=8, n_train_docs=60, n_test_pairs=4, vocab_size_per_lang=300)
+    )
+    train = normalize_corpus(corpus.train, corpus.resources)
+    for side in (0, 1):
+        ps = train_profiles([pair[side] for pair in train], corpus.thesaurus)
+        p1, p2 = tmp_path / f"{side}a.prof", tmp_path / f"{side}b.prof"
+        save_profiles(ps, str(p1))
+        lines = p1.read_text(encoding="utf-8").splitlines()
+        assert any(
+            a.startswith("A ") and b.startswith("A ") and a.split()[2] == b.split()[2]
+            for a, b in zip(lines, lines[1:])
+        )
+        save_profiles(load_profiles(str(p1)), str(p2))
+        assert p1.read_bytes() == p2.read_bytes()

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import pytest
@@ -230,3 +231,9 @@ def test_length_model_loader_rejects_non_finite_or_non_positive(tmp_path, mu, si
         load_length_model(str(path))
     with pytest.raises(ValidationError):
         LengthModel().set("en", "es", float(mu), float(sigma))
+
+
+def test_package_attribute_is_the_similarity_module():
+    import xlingua
+
+    assert xlingua.similarity is importlib.import_module("xlingua.similarity")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from xlingua.errors import ValidationError
+from xlingua.errors import ConfigError, ValidationError
 from xlingua.harness import build_pipeline, normalize_corpus
 from xlingua.similarity import estimate_length_model
 from xlingua.synthesis import (
@@ -40,6 +40,31 @@ def test_spec_json_round_trip(tmp_path):
     assert SyntheticSpec.from_json(str(path)) == spec
     # file is plain json with the field names
     assert json.loads(path.read_text())["n_descriptors"] == 8
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n_descriptors": 8, "colour": "red"}',  # unknown key
+        '{"n_descriptors": 8,',  # bad JSON
+        "[8, 60]",  # not an object
+        '{"n_descriptors": "8"}',  # wrong value type
+        '{"n_descriptors": 8.0}',  # a count must be an integer
+    ],
+    ids=["unknown-key", "bad-json", "not-an-object", "wrong-type", "float-count"],
+)
+def test_spec_from_json_rejects_bad_files_with_config_error(tmp_path, text):
+    path = tmp_path / "spec.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match="spec.json"):
+        SyntheticSpec.from_json(str(path))
+
+
+def test_spec_from_json_names_the_file_in_range_errors(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text('{"n_descriptors": 0}', encoding="utf-8")
+    with pytest.raises(ValidationError, match="spec.json: n_descriptors must be positive"):
+        SyntheticSpec.from_json(str(path))
 
 
 def test_generation_is_deterministic():
