@@ -13,7 +13,7 @@ import os
 import sys
 
 from xlingua.assign import assign
-from xlingua.errors import XlinguaError
+from xlingua.errors import XlinguaError, open_text
 from xlingua.harness import (
     MODES,
     build_pipeline,
@@ -81,7 +81,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_assign(args) -> int:
     profiles = load_profiles(args.profiles)
-    with open(args.doc, encoding="utf-8") as fh:
+    with open_text(args.doc) as fh:
         text = fh.read()
     doc_id = args.id or os.path.splitext(os.path.basename(args.doc))[0]
     res = _resources_for(args, profiles.lang)

@@ -13,7 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from xlingua.errors import ParseError, ValidationError
+from xlingua.errors import ParseError, ValidationError, open_text
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -125,12 +125,12 @@ def load_language_resources(resource_dir: str, lang: str) -> LanguageResources:
 
     sw_path = os.path.join(base, "stopwords.txt")
     if os.path.exists(sw_path):
-        with open(sw_path, encoding="utf-8") as fh:
+        with open_text(sw_path) as fh:
             stopwords = {line.strip() for line in fh if line.strip()}
 
     lex_path = os.path.join(base, "lexicon.tsv")
     if os.path.exists(lex_path):
-        with open(lex_path, encoding="utf-8") as fh:
+        with open_text(lex_path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
@@ -142,7 +142,7 @@ def load_language_resources(resource_dir: str, lang: str) -> LanguageResources:
 
     cmp_path = os.path.join(base, "compounds.txt")
     if os.path.exists(cmp_path):
-        with open(cmp_path, encoding="utf-8") as fh:
+        with open_text(cmp_path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 seq = tuple(line.split())
                 if not seq:
@@ -168,7 +168,7 @@ def read_manifest(path: str) -> list[RawDocument]:
     base = os.path.dirname(os.path.abspath(path))
     docs: list[RawDocument] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -191,7 +191,7 @@ def read_manifest(path: str) -> list[RawDocument]:
                     f"{path}:{lineno}: descriptor codes {codes_field!r} are not comma-separated integers"
                 ) from None
             doc_path = rel_path if os.path.isabs(rel_path) else os.path.join(base, rel_path)
-            with open(doc_path, encoding="utf-8") as doc_fh:
+            with open_text(doc_path) as doc_fh:
                 text = doc_fh.read()
             docs.append(RawDocument(id=doc_id, lang=lang, text=text, manual_descriptors=codes))
     return docs

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from xlingua.errors import ParseError, ValidationError
+from xlingua.errors import ParseError, ValidationError, open_text
 from xlingua.kernels import g2_batch
 from xlingua.normalize import NormalizedDocument
 from xlingua.thesaurus import Thesaurus
@@ -276,7 +276,7 @@ def load_profiles(path: str) -> ProfileSet:
             )
         current_code, current = None, {}
 
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from xlingua.assign import DescriptorVector
-from xlingua.errors import ConfigError, ParseError, ValidationError
+from xlingua.errors import ConfigError, ParseError, ValidationError, open_text
 from xlingua.normalize import NormalizedDocument, RawDocument
 
 DEFAULT_SAME_LANGUAGE_BIAS = 0.83
@@ -355,14 +357,79 @@ def jaccard(a: frozenset, b: frozenset) -> float:
     return inter / (len(a) + len(b) - inter)
 
 
+def _min_overlap(size: int, threshold: float) -> int:
+    """The smallest k with ``k / size >= threshold``, as ``jaccard`` compares.
+
+    ``ceil(threshold * size)`` can overshoot by one where the product lands
+    just above an integer; stepping by the same float test cannot.
+    """
+    k = math.ceil(threshold * size)
+    while k > 1 and (k - 1) / size >= threshold:
+        k -= 1
+    while k / size < threshold:
+        k += 1
+    return k
+
+
+def _join_candidates(sets: Sequence[frozenset], threshold: float) -> list[tuple[int, int]]:
+    """Every pair (i, j), i < j, that can reach ``jaccard >= threshold``, ascending.
+
+    A size filter and a prefix filter over an inverted index, as in
+    Chaudhuri, Ganti & Kaushik (ICDE 2006) and Bayardo, Ma & Srikant
+    (WWW 2007); ``0 < threshold <= 1``.  Empty sets pair only with each
+    other.
+    """
+    df = Counter(chain.from_iterable(sets))
+    # rarest shingles first, ties by the shingle itself
+    rank = {s: r for r, s in enumerate(sorted(sorted(df), key=df.__getitem__))}
+    index: dict[int, list[int]] = {}
+    empties: list[int] = []
+    pairs = []
+    for j, x in enumerate(sets):
+        n = len(x)
+        if not n:
+            pairs += [(i, j) for i in empties]
+            empties.append(j)
+            continue
+        prefix = sorted(map(rank.__getitem__, x))[: n - _min_overlap(n, threshold) + 1]
+        found: set[int] = set()
+        for r in prefix:
+            earlier = index.setdefault(r, [])
+            found.update(earlier)
+            earlier.append(j)
+        for i in found:
+            m = len(sets[i])
+            if min(m, n) / max(m, n) >= threshold:
+                pairs.append((i, j))
+    pairs.sort()
+    return pairs
+
+
 def dedupe(
     docs: Sequence[RawDocument], threshold: float = DEDUPE_THRESHOLD
 ) -> tuple[list[RawDocument], list[tuple[str, str, float]]]:
     """Drop near-duplicates by character 5-gram Jaccard on the raw text.
 
     For every pair at or above the threshold, the later document in id
-    order is removed.  Returns (kept documents, removed-pair report).
+    order is removed.  Returns (kept documents, removed-pair report), the
+    report in ascending (earlier, later) id order; ``0 < threshold <= 1``.
+
+    Only the pairs that two filters let through are verified with
+    ``jaccard``, and neither filter can drop a pair that ``jaccard``
+    accepts:
+
+    * size filter: ``jaccard(x, y) <= min(|x|, |y|) / max(|x|, |y|)`` in
+      real numbers, and rounding is monotone, so a pair whose size ratio
+      is below the threshold as a float is below it as a Jaccard too;
+    * prefix filter: with shingles ordered by (document frequency,
+      shingle), a pair sharing at least k shingles has the first of them
+      among the first ``|x| - k + 1`` of each set.  Here k is the smallest
+      integer with ``k / |x| >= threshold``; the overlap of an accepted
+      pair passes that same float test, because ``|x ∪ y| >= |x|``, so it
+      is at least k for either set.
     """
+    if not 0.0 < threshold <= 1.0:
+        raise ValidationError(f"dedupe threshold must be in (0, 1], got {threshold}")
     langs = {d.lang for d in docs}
     if len(langs) > 1:
         raise ValidationError(f"dedupe expects a single language, got {sorted(langs)}")
@@ -370,12 +437,11 @@ def dedupe(
     shingle_sets = [shingles(d.text) for d in ordered]
     removed: set[str] = set()
     report: list[tuple[str, str, float]] = []
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            j_sim = jaccard(shingle_sets[i], shingle_sets[j])
-            if j_sim >= threshold:
-                report.append((ordered[i].id, ordered[j].id, j_sim))
-                removed.add(ordered[j].id)
+    for i, j in _join_candidates(shingle_sets, threshold):
+        j_sim = jaccard(shingle_sets[i], shingle_sets[j])
+        if j_sim >= threshold:
+            report.append((ordered[i].id, ordered[j].id, j_sim))
+            removed.add(ordered[j].id)
     kept = [d for d in docs if d.id not in removed]
     return kept, report
 
@@ -392,7 +458,7 @@ def save_length_model(model: LengthModel, path: str) -> None:
 
 def load_length_model(path: str) -> LengthModel:
     model = LengthModel()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

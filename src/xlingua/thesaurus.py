@@ -4,8 +4,9 @@ Descriptors carry a numeric code (language-independent), one label per
 configured language, and BT/NT/RT links.  The links are validated and
 exposed read-only; no similarity computation uses them.
 
-File format (UTF-8 text, ``#`` starts a comment, blank lines separate
-records)::
+File format (UTF-8 text, a line starting with ``#`` is a comment, blank
+lines separate records; a ``#`` anywhere else, as in ``C# PROGRAMMING``,
+is part of the line)::
 
     LANGS en es
     D 1604 12 127
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from xlingua.errors import ParseError, ValidationError
+from xlingua.errors import ParseError, ValidationError, open_text
 
 
 @dataclass(frozen=True)
@@ -105,9 +106,11 @@ def load_thesaurus(path: str) -> Thesaurus:
     records: dict[int, _Record] = {}
     current: _Record | None = None
 
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].rstrip("\n").strip()
+            line = raw.strip()
+            if line.startswith("#"):
+                continue
             if not line:
                 current = None
                 continue
@@ -116,48 +119,48 @@ def load_thesaurus(path: str) -> Thesaurus:
             try:
                 if tag == "LANGS":
                     if languages is not None:
-                        raise ParseError(f"line {lineno}: duplicate LANGS header")
+                        raise ParseError(f"{path}:{lineno}: duplicate LANGS header")
                     if len(parts) < 2:
-                        raise ParseError(f"line {lineno}: LANGS needs at least one language")
+                        raise ParseError(f"{path}:{lineno}: LANGS needs at least one language")
                     languages = tuple(parts[1:])
                 elif tag == "D":
                     if languages is None:
-                        raise ParseError(f"line {lineno}: D record before LANGS header")
+                        raise ParseError(f"{path}:{lineno}: D record before LANGS header")
                     if len(parts) != 4:
-                        raise ParseError(f"line {lineno}: D needs code, field and microthesaurus")
+                        raise ParseError(f"{path}:{lineno}: D needs code, field and microthesaurus")
                     code = int(parts[1])
                     if code <= 0:
-                        raise ValidationError(f"line {lineno}: code must be positive, got {code}")
+                        raise ValidationError(f"{path}:{lineno}: code must be positive, got {code}")
                     if code in records:
-                        raise ValidationError(f"line {lineno}: duplicate descriptor code {code}")
+                        raise ValidationError(f"{path}:{lineno}: duplicate descriptor code {code}")
                     current = _Record(code, int(parts[2]), int(parts[3]))
                     records[code] = current
                 elif tag == "L":
                     if current is None:
-                        raise ParseError(f"line {lineno}: L outside a descriptor record")
+                        raise ParseError(f"{path}:{lineno}: L outside a descriptor record")
                     lang = parts[1]
                     label = line.split(None, 2)[2]
                     if lang in current.labels:
                         raise ValidationError(
-                            f"descriptor {current.code}: duplicate label for {lang!r}"
+                            f"{path}:{lineno}: descriptor {current.code}: duplicate label for {lang!r}"
                         )
                     current.labels[lang] = label
                 elif tag in ("BT", "NT", "RT"):
                     if current is None:
-                        raise ParseError(f"line {lineno}: {tag} outside a descriptor record")
+                        raise ParseError(f"{path}:{lineno}: {tag} outside a descriptor record")
                     if len(parts) != 2:
-                        raise ParseError(f"line {lineno}: {tag} needs exactly one code")
+                        raise ParseError(f"{path}:{lineno}: {tag} needs exactly one code")
                     target = int(parts[1])
                     {"BT": current.broader, "NT": current.narrower, "RT": current.related}[
                         tag
                     ].add(target)
                 else:
-                    raise ParseError(f"line {lineno}: unknown tag {tag!r}")
+                    raise ParseError(f"{path}:{lineno}: unknown tag {tag!r}")
             except (ValueError, IndexError) as exc:
-                raise ParseError(f"line {lineno}: malformed record: {line!r}") from exc
+                raise ParseError(f"{path}:{lineno}: malformed record: {line!r}") from exc
 
     if languages is None:
-        raise ParseError("missing LANGS header")
+        raise ParseError(f"{path}: missing LANGS header")
 
     # complete inverse links before validation
     for rec in records.values():

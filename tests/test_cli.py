@@ -1,6 +1,7 @@
 """End-to-end CLI workflow tests, driven through ``main()``."""
 
 import json
+import shutil
 
 import pytest
 
@@ -232,6 +233,66 @@ def test_dedupe_non_integer_manifest_code_exits_1(tmp_path, capsys):
     manifest.write_text("a\ten\ta.txt\t1,x\n", encoding="utf-8")
     assert main(["dedupe", "--candidates", str(manifest)]) == 1
     assert "m.tsv:1:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "0", "1.5"])
+def test_dedupe_threshold_outside_zero_one_exits_1(tmp_path, capsys, threshold):
+    (tmp_path / "a.txt").write_text("some text", encoding="utf-8")
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("a\ten\ta.txt\t\n", encoding="utf-8")
+    assert main(["dedupe", "--candidates", str(manifest), "--threshold", threshold]) == 1
+    assert "threshold must be in (0, 1]" in capsys.readouterr().err
+
+
+def test_dedupe_non_utf8_manifest_exits_1_with_location(tmp_path, capsys):
+    (tmp_path / "a.txt").write_text("some text", encoding="utf-8")
+    manifest = tmp_path / "m.tsv"
+    manifest.write_bytes(b"a\ten\ta.txt\t\ncaf\xe9\ten\ta.txt\t\n")
+    assert main(["dedupe", "--candidates", str(manifest)]) == 1
+    assert f"{manifest}:2: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_dedupe_non_utf8_document_exits_1_naming_it(tmp_path, capsys):
+    (tmp_path / "a.txt").write_bytes(b"caf\xe9 au lait")
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("a\ten\ta.txt\t\n", encoding="utf-8")
+    assert main(["dedupe", "--candidates", str(manifest)]) == 1
+    assert f"{tmp_path / 'a.txt'}:1: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["thesaurus", "profiles", "doc", "stopwords", "length-model"])
+def test_every_loader_turns_non_utf8_into_exit_1(workspace, tmp_path, capsys, target):
+    corpus = workspace / "corpus"
+    shutil.copytree(corpus / "resources", tmp_path / "resources")
+    files = {
+        "thesaurus": corpus / "thesaurus.txt",
+        "profiles": workspace / "en.prof",
+        "doc": next((corpus / "docs").glob("te*-en.txt")),
+        "stopwords": tmp_path / "resources" / "en" / "stopwords.txt",
+        "length-model": workspace / "model.lm",
+    }
+    bad = files["stopwords"] if target == "stopwords" else tmp_path / "bad"
+    bad.write_bytes(files[target].read_bytes() + b"caf\xe9\n")
+    files[target] = bad
+    if target == "length-model":
+        argv = [
+            "find-translations",
+            "--profiles-src", str(files["profiles"]),
+            "--profiles-tgt", str(workspace / "es.prof"),
+            "--candidates", str(corpus / "test_manifest.tsv"),
+            "--length-model", str(bad),
+        ]
+    else:
+        argv = [
+            "assign",
+            "--profiles", str(files["profiles"]),
+            "--doc", str(files["doc"]),
+            "--resources", str(tmp_path / "resources"),
+            "--thesaurus", str(files["thesaurus"]),
+        ]
+    assert main(argv) == 1
+    n_lines = bad.read_bytes().count(b"\n")
+    assert f"{bad}:{n_lines}: not UTF-8 text" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import importlib
 import math
+import random
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from xlingua.assign import DescriptorVector
 from xlingua.errors import ConfigError, ParseError, ValidationError
 from xlingua.normalize import NormalizedDocument, RawDocument
 from xlingua.similarity import (
+    _join_candidates,
+    _min_overlap,
     DocRecord,
     LengthModel,
     SimilarityOptions,
@@ -208,6 +212,116 @@ def test_dedupe_rejects_mixed_languages():
             RawDocument(id="b", lang="es", text="x" * 50)]
     with pytest.raises(ValidationError):
         dedupe(docs)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, 0.0, -0.5, 1.5, math.inf])
+def test_dedupe_rejects_threshold_outside_zero_one(threshold):
+    docs = [RawDocument(id="a", lang="en", text="x" * 50)]
+    with pytest.raises(ValidationError, match="threshold"):
+        dedupe(docs, threshold)
+
+
+def all_pairs_dedupe(docs, threshold):
+    """The exhaustive loop: every pair in id order, verified with jaccard."""
+    ordered = sorted(docs, key=lambda d: d.id)
+    sets = [shingles(d.text) for d in ordered]
+    report = []
+    for i in range(len(ordered)):
+        for j in range(i + 1, len(ordered)):
+            j_sim = jaccard(sets[i], sets[j])
+            if j_sim >= threshold:
+                report.append((ordered[i].id, ordered[j].id, j_sim))
+    removed = {b for _, b, _ in report}
+    return [d for d in docs if d.id not in removed], report
+
+
+@st.composite
+def dedupe_inputs(draw):
+    """Documents sharing a base text, with edits, exact copies, empty and
+    sub-shingle texts over a small alphabet, and ids that may repeat."""
+    alphabet = draw(st.sampled_from(["ab", "abc", "abcdefgh ", "abcdefghijklmnopqrstuvwxyz "]))
+    base = draw(st.text(alphabet, max_size=60))
+    texts = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["copy", "edit", "fresh", "short", "empty"]))
+        if kind == "copy":
+            texts.append(base)
+        elif kind == "edit":
+            chars = list(base)
+            for _ in range(draw(st.integers(1, 3))):
+                if chars:
+                    chars[draw(st.integers(0, len(chars) - 1))] = draw(st.sampled_from(alphabet))
+            texts.append("".join(chars))
+        elif kind == "fresh":
+            texts.append(draw(st.text(alphabet, max_size=40)))
+        elif kind == "short":
+            texts.append(draw(st.text(alphabet, min_size=1, max_size=4)))
+        else:
+            texts.append("")
+    ids = draw(st.lists(st.integers(0, 15), min_size=len(texts), max_size=len(texts)))
+    docs = [RawDocument(id=f"d{i:02d}", lang="en", text=t) for i, t in zip(ids, texts)]
+    # exact fractions k/n make t * |x| an integer, or the float next to one
+    fraction = st.integers(1, 40).flatmap(lambda n: st.integers(1, n).map(lambda k: k / n))
+    threshold = draw(
+        st.one_of(
+            fraction,
+            fraction.map(lambda t: math.nextafter(t, 0.0)),
+            st.floats(1e-9, 1.0),
+            st.sampled_from([1.0, 0.95, 0.5, 1e-9]),
+        )
+    )
+    return docs, threshold
+
+
+@given(dedupe_inputs())
+@settings(max_examples=400, deadline=None)
+def test_dedupe_equals_the_all_pairs_loop(case):
+    docs, threshold = case
+    kept, report = dedupe(docs, threshold)
+    want_kept, want_report = all_pairs_dedupe(docs, threshold)
+    assert [d.id for d in kept] == [d.id for d in want_kept]
+    assert report == want_report  # same pairs, same order, identical floats
+
+
+def test_min_overlap_does_not_overshoot_where_ceil_does():
+    # 0.28 * 25 rounds to 7.000000000000001, yet 7 / 25 >= 0.28
+    assert math.ceil(0.28 * 25) == 8
+    assert _min_overlap(25, 0.28) == 7
+    for n in range(1, 60):
+        for t in (1e-9, 0.07, 0.28, 0.56, 0.95, 1.0):
+            k = _min_overlap(n, t)
+            assert k / n >= t and (k == 1 or (k - 1) / n < t)
+
+
+def test_join_keeps_a_pair_whose_overlap_is_exactly_the_minimum():
+    # y is the 7 most frequent shingles of x, so they sit last in x's
+    # global order: a prefix cut at ceil(0.28 * 25) = 8 would miss them
+    x = frozenset(f"s{i:02d}" for i in range(25))
+    y = frozenset(f"s{i:02d}" for i in range(18, 25))
+    assert jaccard(x, y) == 7 / 25 >= 0.28
+    assert _join_candidates([x, y], 0.28) == [(0, 1)]
+
+
+def test_join_prunes_a_planted_corpus_and_keeps_every_qualifying_pair():
+    rng = random.Random(4)
+    words = ["".join(rng.choices(string.ascii_lowercase, k=rng.randint(3, 8))) for _ in range(300)]
+    texts = [" ".join(rng.choices(words, k=120)) for _ in range(40)]
+    for b in range(0, 40, 8):
+        tokens = texts[b].split(" ")
+        tokens[rng.randrange(len(tokens))] = "planted"
+        texts.append(" ".join(tokens))
+    texts += ["", "", "abc"]
+    sets = [shingles(t) for t in texts]
+    n = len(sets)
+    candidates = _join_candidates(sets, 0.95)
+    qualifying = {
+        (i, j) for i in range(n) for j in range(i + 1, n) if jaccard(sets[i], sets[j]) >= 0.95
+    }
+    assert len(qualifying) == 6  # five planted edits and the two empty texts
+    assert qualifying <= set(candidates)
+    assert len(candidates) < n * (n - 1) // 2
+    assert len(candidates) < n  # on this corpus, far fewer than all pairs
+    assert candidates == sorted(set(candidates))
 
 
 def test_length_model_round_trip(tmp_path):

@@ -90,3 +90,31 @@ def test_comments_and_blank_lines_ignored(tmp_path):
     )
     t = load_thesaurus(str(p))
     assert t.label_of(1, "en") == "A"
+
+
+def test_hash_inside_a_label_round_trips(tmp_path):
+    t = Thesaurus(
+        descriptors={1: Descriptor(1, {"en": "C# PROGRAMMING", "es": "PROGRAMACION #1"})},
+        languages=("en", "es"),
+    )
+    p1 = tmp_path / "a.txt"
+    p2 = tmp_path / "b.txt"
+    save_thesaurus(t, str(p1))
+    loaded = load_thesaurus(str(p1))
+    assert loaded.label_of(1, "en") == "C# PROGRAMMING"
+    save_thesaurus(loaded, str(p2))
+    assert p1.read_bytes() == p2.read_bytes()
+    assert loaded.descriptors == t.descriptors
+
+
+def test_comment_line_inside_a_record_is_skipped(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_text("LANGS en\n\nD 1 1 1\n  # the English label\nL en A\n", encoding="utf-8")
+    assert load_thesaurus(str(p)).label_of(1, "en") == "A"
+
+
+def test_loader_messages_carry_file_and_line(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_text("LANGS en\n\nD 1 1 1\nL en A\nXX 2\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"{p}:5: unknown tag 'XX'"):
+        load_thesaurus(str(p))
