@@ -15,13 +15,10 @@ from xlingua.normalize import (
 )
 from xlingua.profiles import (
     AssociateProfile,
-    ContingencyTable,
     ProfileSet,
     TrainingConfig,
-    build_contingency,
     idf,
     load_profiles,
-    log_likelihood,
     save_profiles,
     train_profiles,
 )

@@ -12,16 +12,15 @@ every candidate at once, from dense arrays of descriptor weights, and is
 what the search functions, the experiment harness and the CLI call.  The
 scalar ``cosine``, ``length_factor`` and ``similarity`` compute the same
 formula for one pair; they are kept as the reference the engine is
-tested against.
+tested against.  Likewise ``dedupe`` works on packed integer shingle
+keys, and the string ``shingles`` with ``jaccard`` are its reference.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -371,34 +370,103 @@ def _min_overlap(size: int, threshold: float) -> int:
     return k
 
 
-def _join_candidates(sets: Sequence[frozenset], threshold: float) -> list[tuple[int, int]]:
+def _distinct(ordered: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array, ascending."""
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
+def _shingle_keys(texts: Sequence[str]) -> list[np.ndarray]:
+    """Each text's ``shingles`` as a sorted array of distinct int64 keys.
+
+    Across all the texts, two shingles get the same key exactly when they
+    are equal (``dedupe`` says why).  A key reads the shingle as
+    SHINGLE_SIZE digits in base ``len(alphabet) + 1``, where the alphabet
+    is every code point of the texts and a code point's digit is 1 + its
+    rank in it; a text shorter than SHINGLE_SIZE is padded at the end with
+    digit 0.  When ``base ** SHINGLE_SIZE`` does not fit an int64, the
+    keys are ids given to the string shingles in order of appearance.
+    """
+    size = SHINGLE_SIZE
+    empty = np.empty(0, dtype=np.int64)
+    codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    if not len(codes):
+        return [empty] * len(texts)
+    alphabet = _distinct(np.sort(codes))
+    base = len(alphabet) + 1
+    if base**size >= 2**63:
+        ids: dict[str, int] = {}
+        return [
+            np.sort(np.fromiter((ids.setdefault(s, len(ids)) for s in shingles(t)), np.int64))
+            for t in texts
+        ]
+    digit = np.zeros(int(alphabet[-1]) + 1, dtype=np.uint16)
+    digit[alphabet] = np.arange(1, base)
+    digits = digit[codes]
+    # every text is followed by size - 1 zero digits, so that a short text
+    # makes one window and no window spans two texts
+    lengths = [len(t) for t in texts]
+    ends = np.cumsum(lengths).tolist()
+    pad = np.zeros(size - 1, dtype=np.uint16)
+    stream = np.concatenate([p for n, e in zip(lengths, ends) for p in (digits[e - n : e], pad)])
+    windows = len(stream) - size + 1
+    keys = stream[:windows].astype(np.int64)
+    for k in range(1, size):
+        keys *= base
+        keys += stream[k : windows + k]
+    out = []
+    for i, (n, e) in enumerate(zip(lengths, ends)):
+        start = e - n + i * (size - 1)  # where text i begins in the stream
+        x = keys[start : start + max(n - size + 1, 1)] if n else empty
+        x.sort()
+        out.append(_distinct(x))
+    return out
+
+
+def _key_jaccard(a: np.ndarray, b: np.ndarray) -> float:
+    """``jaccard`` of two sets given as sorted arrays of distinct keys."""
+    if not len(a) and not len(b):
+        return 1.0
+    inter = len(np.intersect1d(a, b, assume_unique=True))
+    return inter / (len(a) + len(b) - inter)
+
+
+def _join_candidates(keys: Sequence[np.ndarray], threshold: float) -> list[tuple[int, int]]:
     """Every pair (i, j), i < j, that can reach ``jaccard >= threshold``, ascending.
 
-    A size filter and a prefix filter over an inverted index, as in
+    ``keys`` holds each set as a sorted array of distinct int64 keys.  A
+    size filter and a prefix filter over an inverted index, as in
     Chaudhuri, Ganti & Kaushik (ICDE 2006) and Bayardo, Ma & Srikant
     (WWW 2007); ``0 < threshold <= 1``.  Empty sets pair only with each
     other.
     """
-    df = Counter(chain.from_iterable(sets))
-    # rarest shingles first, ties by the shingle itself
-    rank = {s: r for r, s in enumerate(sorted(sorted(df), key=df.__getitem__))}
+    if not keys:
+        return []
+    unique, inverse, df = np.unique(np.concatenate(keys), return_inverse=True, return_counts=True)
+    # rarest keys first, ties by the key itself
+    rank = np.empty(len(unique), dtype=np.int64)
+    rank[np.lexsort((unique, df))] = np.arange(len(unique))
+    ranks = rank[inverse]
+    sizes = [len(x) for x in keys]
+    ends = np.cumsum(sizes).tolist()
     index: dict[int, list[int]] = {}
     empties: list[int] = []
     pairs = []
-    for j, x in enumerate(sets):
-        n = len(x)
+    for j, (n, end) in enumerate(zip(sizes, ends)):
         if not n:
             pairs += [(i, j) for i in empties]
             empties.append(j)
             continue
-        prefix = sorted(map(rank.__getitem__, x))[: n - _min_overlap(n, threshold) + 1]
+        prefix = np.sort(ranks[end - n : end])[: n - _min_overlap(n, threshold) + 1]
         found: set[int] = set()
-        for r in prefix:
+        for r in prefix.tolist():
             earlier = index.setdefault(r, [])
             found.update(earlier)
             earlier.append(j)
         for i in found:
-            m = len(sets[i])
+            m = sizes[i]
             if min(m, n) / max(m, n) >= threshold:
                 pairs.append((i, j))
     pairs.sort()
@@ -412,21 +480,33 @@ def dedupe(
 
     For every pair at or above the threshold, the later document in id
     order is removed.  Returns (kept documents, removed-pair report), the
-    report in ascending (earlier, later) id order; ``0 < threshold <= 1``.
+    report in ascending (earlier, later) id order; ``0 < threshold <= 1``
+    and no id may repeat.
 
-    Only the pairs that two filters let through are verified with
-    ``jaccard``, and neither filter can drop a pair that ``jaccard``
-    accepts:
+    Each text's shingle set is an array of packed int64 keys (see
+    ``_shingle_keys``).  The packing is injective: digits 1 and up stand
+    for distinct code points, and digit 0 is never a code point's digit,
+    so it occurs only as the padding after a text shorter than 5.  A
+    padded short text therefore cannot equal a full 5-gram, and it reads
+    back as its digits up to the first 0.  Set sizes and overlaps are
+    the integers the string sets give, and ``inter / (|x| + |y| - inter)``
+    is the same float as ``jaccard``.  Packing needs
+    ``(len(alphabet) + 1) ** 5 < 2 ** 63``, which holds up to 6,207
+    distinct code points per call; above that the string shingles are
+    numbered through a dict instead.
+
+    Only the pairs that two filters let through are verified, and neither
+    filter can drop a pair that ``jaccard`` accepts:
 
     * size filter: ``jaccard(x, y) <= min(|x|, |y|) / max(|x|, |y|)`` in
       real numbers, and rounding is monotone, so a pair whose size ratio
       is below the threshold as a float is below it as a Jaccard too;
-    * prefix filter: with shingles ordered by (document frequency,
-      shingle), a pair sharing at least k shingles has the first of them
-      among the first ``|x| - k + 1`` of each set.  Here k is the smallest
-      integer with ``k / |x| >= threshold``; the overlap of an accepted
-      pair passes that same float test, because ``|x ∪ y| >= |x|``, so it
-      is at least k for either set.
+    * prefix filter: with keys ordered by (document frequency, key), a
+      pair sharing at least k keys has the first of them among the first
+      ``|x| - k + 1`` of each set.  Here k is the smallest integer with
+      ``k / |x| >= threshold``; the overlap of an accepted pair passes
+      that same float test, because ``|x ∪ y| >= |x|``, so it is at least
+      k for either set.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValidationError(f"dedupe threshold must be in (0, 1], got {threshold}")
@@ -434,11 +514,14 @@ def dedupe(
     if len(langs) > 1:
         raise ValidationError(f"dedupe expects a single language, got {sorted(langs)}")
     ordered = sorted(docs, key=lambda d: d.id)
-    shingle_sets = [shingles(d.text) for d in ordered]
+    for a, b in zip(ordered, ordered[1:]):
+        if a.id == b.id:
+            raise ValidationError(f"document id {a.id!r} occurs more than once")
+    keys = _shingle_keys([d.text for d in ordered])
     removed: set[str] = set()
     report: list[tuple[str, str, float]] = []
-    for i, j in _join_candidates(shingle_sets, threshold):
-        j_sim = jaccard(shingle_sets[i], shingle_sets[j])
+    for i, j in _join_candidates(keys, threshold):
+        j_sim = _key_jaccard(keys[i], keys[j])
         if j_sim >= threshold:
             report.append((ordered[i].id, ordered[j].id, j_sim))
             removed.add(ordered[j].id)

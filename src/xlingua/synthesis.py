@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import random
 from dataclasses import dataclass, field
@@ -39,6 +40,10 @@ _SQRT3 = 3.0 ** 0.5
 _CLASS_GROWTH = 1.35
 # Share of test pairs planted as single-topic twin groups of two.
 _TWIN_RATE = 0.14
+# Most source tokens a spec may plan for one test document.  Class c has
+# about doc_length_mean * 1.35**c tokens, so a spec with a few hundred
+# length classes would plan documents that never finish generating.
+MAX_SOURCE_TOKENS = 100_000
 
 
 @dataclass(frozen=True)
@@ -101,6 +106,16 @@ class SyntheticSpec:
             raise ValidationError(
                 f"vocab_size_per_lang {self.vocab_size_per_lang} too small;"
                 f" need at least {needed} for topic blocks plus background"
+            )
+        _, _, n_classes = _class_plan(self)
+        # longest planned source: top class, full jitter (in logs, since the
+        # geometry can overflow a float)
+        longest = math.log(self.doc_length_mean + self.doc_length_std)
+        if longest + (n_classes - 1) * math.log(_CLASS_GROWTH) > math.log(MAX_SOURCE_TOKENS):
+            raise ValidationError(
+                f"{self.n_test_pairs} test pairs over {self.n_descriptors} descriptors make"
+                f" {n_classes} length classes; the longest source document would have"
+                f" more than {MAX_SOURCE_TOKENS:,} tokens"
             )
 
     @staticmethod
@@ -189,6 +204,20 @@ def _draw_topics(spec: SyntheticSpec, rng: random.Random) -> tuple[tuple[int, ..
     return codes, _mix_weights(n_topics, rng)
 
 
+def _class_plan(spec: SyntheticSpec) -> tuple[int, int, int]:
+    """(twin groups, descriptors per multi-topic set, length classes).
+
+    Each length class holds as many multi-topic sets as the descriptors
+    left after the twin groups allow without sharing one.
+    """
+    n_groups = min(round(_TWIN_RATE * spec.n_test_pairs / 2), max(0, spec.n_descriptors - 2))
+    pool = spec.n_descriptors - n_groups
+    set_size = min(2, spec.max_topics_per_doc, pool)
+    per_class = max(1, pool // set_size)
+    n_multi = spec.n_test_pairs - 2 * n_groups
+    return n_groups, set_size, max(2 if n_groups else 1, -(-n_multi // per_class))
+
+
 def _test_plan(spec: SyntheticSpec, rng: random.Random) -> list[tuple[tuple[int, ...], int]]:
     """Topic set and length class for every test pair.
 
@@ -198,13 +227,9 @@ def _test_plan(spec: SyntheticSpec, rng: random.Random) -> list[tuple[tuple[int,
     the leftover descriptors, so sets inside one class never share a
     descriptor while any two confusable sets land in different classes.
     """
-    n = spec.n_test_pairs
-    n_groups = min(round(_TWIN_RATE * n / 2), max(0, spec.n_descriptors - 2))
+    n_groups, set_size, n_classes = _class_plan(spec)
     pool = list(range(n_groups + 1, spec.n_descriptors + 1))
-    set_size = min(2, spec.max_topics_per_doc, len(pool))
-    per_class = max(1, len(pool) // set_size) if pool else 1
-    n_multi = n - 2 * n_groups
-    n_classes = max(2 if n_groups else 1, -(-n_multi // per_class))
+    n_multi = spec.n_test_pairs - 2 * n_groups
     plan: list[tuple[tuple[int, ...], int]] = []
     for g in range(n_groups):
         c = (2 * g) % n_classes

@@ -297,8 +297,13 @@ def test_every_loader_turns_non_utf8_into_exit_1(workspace, tmp_path, capsys, ta
 
 @pytest.mark.parametrize(
     "text",
-    ['{"n_descriptors": 8, "colour": "red"}', '{"n_descriptors": 8,', "[8, 60]"],
-    ids=["unknown-key", "bad-json", "not-an-object"],
+    [
+        '{"n_descriptors": 8, "colour": "red"}',
+        '{"n_descriptors": 8,',
+        "[8, 60]",
+        '{"n_test_pairs": 400}',  # rejected before generation, which would never end
+    ],
+    ids=["unknown-key", "bad-json", "not-an-object", "exploding-length-classes"],
 )
 @pytest.mark.parametrize("command", ["gen-corpus", "evaluate"])
 def test_bad_spec_file_exits_1(tmp_path, capsys, text, command):

@@ -3,6 +3,7 @@ import math
 import random
 import string
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,9 @@ from xlingua.errors import ConfigError, ParseError, ValidationError
 from xlingua.normalize import NormalizedDocument, RawDocument
 from xlingua.similarity import (
     _join_candidates,
+    _key_jaccard,
     _min_overlap,
+    _shingle_keys,
     DocRecord,
     LengthModel,
     SimilarityOptions,
@@ -221,6 +224,13 @@ def test_dedupe_rejects_threshold_outside_zero_one(threshold):
         dedupe(docs, threshold)
 
 
+def test_dedupe_rejects_repeated_ids():
+    # reporting ("a", "a", 1.0) would remove both copies from the kept list
+    docs = [RawDocument(id="a", lang="en", text="x" * n) for n in (50, 51)]
+    with pytest.raises(ValidationError, match="'a' occurs more than once"):
+        dedupe(docs)
+
+
 def all_pairs_dedupe(docs, threshold):
     """The exhaustive loop: every pair in id order, verified with jaccard."""
     ordered = sorted(docs, key=lambda d: d.id)
@@ -238,8 +248,13 @@ def all_pairs_dedupe(docs, threshold):
 @st.composite
 def dedupe_inputs(draw):
     """Documents sharing a base text, with edits, exact copies, empty and
-    sub-shingle texts over a small alphabet, and ids that may repeat."""
-    alphabet = draw(st.sampled_from(["ab", "abc", "abcdefgh ", "abcdefghijklmnopqrstuvwxyz "]))
+    sub-shingle texts over a small alphabet, and ids that may repeat.  The
+    alphabets include multi-byte and astral (above U+FFFF) code points."""
+    alphabet = draw(
+        st.sampled_from(
+            ["ab", "abc", "abcdefgh ", "abcdefghijklmnopqrstuvwxyz ", "áéñ ", "日本語", "😀😁x"]
+        )
+    )
     base = draw(st.text(alphabet, max_size=60))
     texts = []
     for _ in range(draw(st.integers(0, 12))):
@@ -277,6 +292,13 @@ def dedupe_inputs(draw):
 @settings(max_examples=400, deadline=None)
 def test_dedupe_equals_the_all_pairs_loop(case):
     docs, threshold = case
+    if len({d.id for d in docs}) < len(docs):
+        with pytest.raises(ValidationError, match="more than once"):
+            dedupe(docs, threshold)
+        # the same texts under distinct ids, in the same id order
+        docs = [
+            RawDocument(id=f"{d.id}.{k:02d}", lang=d.lang, text=d.text) for k, d in enumerate(docs)
+        ]
     kept, report = dedupe(docs, threshold)
     want_kept, want_report = all_pairs_dedupe(docs, threshold)
     assert [d.id for d in kept] == [d.id for d in want_kept]
@@ -294,11 +316,12 @@ def test_min_overlap_does_not_overshoot_where_ceil_does():
 
 
 def test_join_keeps_a_pair_whose_overlap_is_exactly_the_minimum():
-    # y is the 7 most frequent shingles of x, so they sit last in x's
-    # global order: a prefix cut at ceil(0.28 * 25) = 8 would miss them
-    x = frozenset(f"s{i:02d}" for i in range(25))
-    y = frozenset(f"s{i:02d}" for i in range(18, 25))
-    assert jaccard(x, y) == 7 / 25 >= 0.28
+    # y is the 7 most frequent keys of x, so they sit last in x's global
+    # order: a prefix cut at ceil(0.28 * 25) = 8 would miss them
+    x = np.arange(25, dtype=np.int64)
+    y = np.arange(18, 25, dtype=np.int64)
+    assert jaccard(frozenset(x.tolist()), frozenset(y.tolist())) == 7 / 25 >= 0.28
+    assert _key_jaccard(x, y) == 7 / 25
     assert _join_candidates([x, y], 0.28) == [(0, 1)]
 
 
@@ -312,8 +335,10 @@ def test_join_prunes_a_planted_corpus_and_keeps_every_qualifying_pair():
         texts.append(" ".join(tokens))
     texts += ["", "", "abc"]
     sets = [shingles(t) for t in texts]
+    keys = _shingle_keys(texts)
+    assert [len(k) for k in keys] == [len(s) for s in sets]
     n = len(sets)
-    candidates = _join_candidates(sets, 0.95)
+    candidates = _join_candidates(keys, 0.95)
     qualifying = {
         (i, j) for i in range(n) for j in range(i + 1, n) if jaccard(sets[i], sets[j]) >= 0.95
     }
@@ -322,6 +347,59 @@ def test_join_prunes_a_planted_corpus_and_keeps_every_qualifying_pair():
     assert len(candidates) < n * (n - 1) // 2
     assert len(candidates) < n  # on this corpus, far fewer than all pairs
     assert candidates == sorted(set(candidates))
+
+
+@pytest.fixture
+def shingle_calls(monkeypatch):
+    """The texts passed to ``similarity.shingles``, which only the
+    dict-numbered key path calls."""
+    calls = []
+    monkeypatch.setattr(
+        importlib.import_module("xlingua.similarity"),
+        "shingles",
+        lambda text: calls.append(text) or shingles(text),
+    )
+    return calls
+
+
+def _assert_keys_count_like_shingles(texts):
+    keys = _shingle_keys(texts)
+    sets = [shingles(t) for t in texts]
+    for k, s in zip(keys, sets):
+        assert k.dtype == np.int64 and len(k) == len(s)
+        assert (np.diff(k) > 0).all()
+    for i in range(len(texts)):
+        for j in range(len(texts)):
+            assert len(np.intersect1d(keys[i], keys[j])) == len(sets[i] & sets[j])
+            assert _key_jaccard(keys[i], keys[j]) == jaccard(sets[i], sets[j])
+
+
+def test_packed_keys_count_like_the_string_shingles(shingle_calls):
+    texts = [
+        "", "a", "ab", "abcd", "abcde", "abcdef", "bcdef", "abcd\0", "\0", "\0\0\0\0\0\0",
+        "\ud800x\ud800x\ud800", "😀😁x😀😁x", "日本語日本語", "ñandú ñandú", "abab", "ababab",
+    ]
+    _assert_keys_count_like_shingles(texts)
+    # 6,207 distinct code points, the most that packed keys take
+    limit = "".join(chr(0x4E00 + i) for i in range(6207))
+    _assert_keys_count_like_shingles([limit, limit[:3000] + limit[3001:], limit[::-1], ""])
+    assert shingle_calls == []
+
+
+def test_dedupe_numbers_string_shingles_above_6207_code_points(shingle_calls):
+    base = "".join(chr(0x4E00 + i) for i in range(6208))
+    edited = base[:3000] + "x" + base[3001:]
+    texts = [base, edited, base[::-1], base[:4000], "日本", "", base, "x" * 10, "日本"]
+    docs = [RawDocument(id=f"c{i}", lang="zh", text=t) for i, t in enumerate(texts)]
+    for threshold in (0.95, 0.6, 1.0):
+        shingle_calls.clear()
+        kept, report = dedupe(docs, threshold)
+        assert shingle_calls == texts  # one string shingle set per text, in id order
+        want_kept, want_report = all_pairs_dedupe(docs, threshold)
+        assert [d.id for d in kept] == [d.id for d in want_kept]
+        assert report == want_report
+    assert [(a, b) for a, b, _ in report] == [("c0", "c6"), ("c4", "c8")]
+    _assert_keys_count_like_shingles(texts)
 
 
 def test_length_model_round_trip(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,6 +8,8 @@ from xlingua.harness import build_pipeline, normalize_corpus
 from xlingua.similarity import estimate_length_model
 from xlingua.synthesis import (
     SyntheticSpec,
+    _class_plan,
+    _test_plan,
     generate_synthetic,
     write_corpus,
 )
@@ -64,6 +67,44 @@ def test_spec_from_json_names_the_file_in_range_errors(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text('{"n_descriptors": 0}', encoding="utf-8")
     with pytest.raises(ValidationError, match="spec.json: n_descriptors must be positive"):
+        SyntheticSpec.from_json(str(path))
+
+
+# No spec below is ever generated: the rejected ones would never finish.
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(n_test_pairs=400),  # 344 length classes over 30 descriptors
+        dict(n_descriptors=120, n_test_pairs=1600, vocab_size_per_lang=4000),
+        dict(n_test_pairs=10**7),  # 1.35 ** n_classes overflows a float
+        # 8 classes: 99,986 tokens at the top, 100,019 with the full +4 jitter
+        dict(doc_length_mean=12_235.0),
+    ],
+)
+def test_spec_rejects_length_geometry_beyond_the_token_cap(kw):
+    with pytest.raises(ValidationError, match="length classes.*100,000 tokens"):
+        SyntheticSpec(**kw)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(),
+        dict(n_descriptors=120, n_train_docs=1200, n_test_pairs=400, vocab_size_per_lang=4000),
+        dict(n_descriptors=120, n_test_pairs=410, vocab_size_per_lang=4000),
+        dict(doc_length_mean=12_000.0),  # about 98,100 tokens at the top
+    ],
+)
+def test_spec_accepts_default_and_scaled_geometry(kw):
+    spec = SyntheticSpec(**kw)
+    classes = {c for _, c in _test_plan(spec, random.Random(0))}
+    assert classes == set(range(_class_plan(spec)[2])) == set(range(8))
+
+
+def test_spec_from_json_names_the_file_in_geometry_errors(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text('{"n_test_pairs": 400}', encoding="utf-8")
+    with pytest.raises(ValidationError, match="spec.json: 400 test pairs over 30 descriptors"):
         SyntheticSpec.from_json(str(path))
 
 
