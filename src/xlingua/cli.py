@@ -195,23 +195,26 @@ def _cmd_gen_corpus(args) -> int:
     return 0
 
 
+def _t3_distractors(spec: SyntheticSpec) -> list[DocRecord]:
+    """Target records of a second corpus (seed + 1): the T3 distractors."""
+    second = generate_synthetic(dataclasses.replace(spec, rng_seed=spec.rng_seed + 1))
+    # the second collection reuses the first one's ids; prefix them so
+    # that a distractor is never taken for the true translation
+    return [
+        DocRecord(
+            vector=dataclasses.replace(r.vector, doc_id=f"x-{r.id}"),
+            char_length=r.char_length,
+        )
+        for r in build_pipeline(second).tgt_records
+    ]
+
+
 def _cmd_evaluate(args) -> int:
     spec = SyntheticSpec.from_json(args.spec) if args.spec else SyntheticSpec()
     corpus = generate_synthetic(spec)
     pipeline = build_pipeline(corpus)
     opts = SimilarityOptions(threshold=args.threshold, same_language_bias=args.bias)
-    extra = None
-    if args.mode == "T3":
-        second = generate_synthetic(dataclasses.replace(spec, rng_seed=spec.rng_seed + 1))
-        # the second collection reuses the first one's ids; prefix them so
-        # that a distractor is never taken for the true translation
-        extra = [
-            DocRecord(
-                vector=dataclasses.replace(r.vector, doc_id=f"x-{r.id}"),
-                char_length=r.char_length,
-            )
-            for r in build_pipeline(second).tgt_records
-        ]
+    extra = _t3_distractors(spec) if args.mode == "T3" else None
     report = run_experiment(pipeline, args.mode, opts, extra_targets=extra)
     text = report_to_tsv(report)
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -26,7 +26,9 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass, field
+from bisect import bisect
+from dataclasses import dataclass
+from itertools import accumulate
 
 from xlingua.errors import ConfigError, ValidationError
 from xlingua.normalize import LanguageResources, RawDocument
@@ -44,6 +46,9 @@ _TWIN_RATE = 0.14
 # about doc_length_mean * 1.35**c tokens, so a spec with a few hundred
 # length classes would plan documents that never finish generating.
 MAX_SOURCE_TOKENS = 100_000
+# Most target tokens: a target is its source times the length ratio, so it
+# gets room for a ratio of up to 2 at the source cap.
+MAX_TARGET_TOKENS = 2 * MAX_SOURCE_TOKENS
 
 
 @dataclass(frozen=True)
@@ -91,6 +96,10 @@ class SyntheticSpec:
         ):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be positive")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value!r}")
         if not 0.0 <= self.noise_rate < 1.0:
             raise ValidationError("noise_rate must be in [0, 1)")
         if not 1 <= self.max_topics_per_doc <= 4:
@@ -108,14 +117,23 @@ class SyntheticSpec:
                 f" need at least {needed} for topic blocks plus background"
             )
         _, _, n_classes = _class_plan(self)
-        # longest planned source: top class, full jitter (in logs, since the
-        # geometry can overflow a float)
+        # longest planned source: top class, full jitter; longest target: that
+        # source at the top of the ratio band (in logs, since the geometry
+        # can overflow a float)
         longest = math.log(self.doc_length_mean + self.doc_length_std)
-        if longest + (n_classes - 1) * math.log(_CLASS_GROWTH) > math.log(MAX_SOURCE_TOKENS):
+        longest += (n_classes - 1) * math.log(_CLASS_GROWTH)
+        if longest > math.log(MAX_SOURCE_TOKENS):
             raise ValidationError(
                 f"{self.n_test_pairs} test pairs over {self.n_descriptors} descriptors make"
                 f" {n_classes} length classes; the longest source document would have"
                 f" more than {MAX_SOURCE_TOKENS:,} tokens"
+            )
+        top_ratio = self.target_length_inflation + _SQRT3 * self.length_ratio_std
+        if longest + math.log(top_ratio) > math.log(MAX_TARGET_TOKENS):
+            raise ValidationError(
+                f"target_length_inflation {self.target_length_inflation} and length_ratio_std"
+                f" {self.length_ratio_std} make the longest target document more than"
+                f" {MAX_TARGET_TOKENS:,} tokens"
             )
 
     @staticmethod
@@ -248,30 +266,70 @@ def _test_plan(spec: SyntheticSpec, rng: random.Random) -> list[tuple[tuple[int,
 def _sample_tokens(
     spec: SyntheticSpec,
     lang: str,
+    words: dict[str, tuple[str, ...]],
     codes: tuple[int, ...],
     weights: tuple[float, ...],
     n_tokens: int,
     rng: random.Random,
 ) -> list[str]:
+    """``n_tokens`` topic or background words, each maybe followed by a stopword.
+
+    The draws are those of the plain loop
+
+        if rng.random() < noise_rate: idx = rng.randrange(bg_lo, bg_hi)
+        else: idx = (rng.choices(codes, weights)[0] - 1) * lpd + rng.randrange(lpd)
+        if rng.random() < _STOPWORD_RATE: rng.choice(stop)
+
+    with each call unrolled as CPython 3.11 runs it.  ``choices`` picks
+    ``bisect(cum_weights, random() * total, 0, n - 1)``; ``randrange(a, b)``,
+    ``randrange(n)`` and ``choice(seq)`` each reduce to
+    ``_randbelow_with_getrandbits(n)``: ``k = n.bit_length()``, then
+    ``getrandbits(k)`` until the result is below ``n``.  The same random
+    numbers are drawn in the same order, so the corpus is byte-identical
+    to the plain loop's; the corpus digests pinned in
+    ``tests/test_synthesis.py`` enforce it.
+    """
+    random_ = rng.random
+    getrandbits = rng.getrandbits
+    noise_rate = spec.noise_rate
     lpd = spec.lemmas_per_descriptor
+    lpd_bits = lpd.bit_length()
     bg_lo = spec.n_descriptors * lpd
-    bg_hi = spec.vocab_size_per_lang
+    bg_n = spec.vocab_size_per_lang - bg_lo
+    bg_bits = bg_n.bit_length()
+    vocab = words[lang]
     stop = _stopwords(lang)
+    n_stop = len(stop)
+    stop_bits = n_stop.bit_length()
+    cum = list(accumulate(weights))
+    total = cum[-1] + 0.0
+    hi = len(cum) - 1
+    block_start = [(code - 1) * lpd for code in codes]
     tokens: list[str] = []
+    append = tokens.append
     for _ in range(n_tokens):
-        if rng.random() < spec.noise_rate:
-            idx = rng.randrange(bg_lo, bg_hi)
+        if random_() < noise_rate:
+            r = getrandbits(bg_bits)
+            while r >= bg_n:
+                r = getrandbits(bg_bits)
+            append(vocab[bg_lo + r])
         else:
-            code = rng.choices(codes, weights=weights, k=1)[0]
-            idx = (code - 1) * lpd + rng.randrange(lpd)
-        tokens.append(_word(lang, idx))
-        if rng.random() < _STOPWORD_RATE:
-            tokens.append(rng.choice(stop))
+            start = block_start[bisect(cum, random_() * total, 0, hi)]
+            r = getrandbits(lpd_bits)
+            while r >= lpd:
+                r = getrandbits(lpd_bits)
+            append(vocab[start + r])
+        if random_() < _STOPWORD_RATE:
+            r = getrandbits(stop_bits)
+            while r >= n_stop:
+                r = getrandbits(stop_bits)
+            append(stop[r])
     return tokens
 
 
 def _make_pair(
     spec: SyntheticSpec,
+    words: dict[str, tuple[str, ...]],
     pair_id: str,
     codes: tuple[int, ...],
     weights: tuple[float, ...],
@@ -291,13 +349,17 @@ def _make_pair(
     src = RawDocument(
         id=f"{pair_id}-{spec.src_lang}",
         lang=spec.src_lang,
-        text=" ".join(_sample_tokens(spec, spec.src_lang, codes, weights, src_tokens, rng)),
+        text=" ".join(
+            _sample_tokens(spec, spec.src_lang, words, codes, weights, src_tokens, rng)
+        ),
         manual_descriptors=labels,
     )
     tgt = RawDocument(
         id=f"{pair_id}-{spec.tgt_lang}",
         lang=spec.tgt_lang,
-        text=" ".join(_sample_tokens(spec, spec.tgt_lang, codes, weights, tgt_tokens, rng)),
+        text=" ".join(
+            _sample_tokens(spec, spec.tgt_lang, words, codes, weights, tgt_tokens, rng)
+        ),
         manual_descriptors=labels,
     )
     return src, tgt
@@ -310,9 +372,15 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticCorpus:
     """
     rng = random.Random(spec.rng_seed)
     thesaurus = _make_thesaurus(spec)
+    langs = (spec.src_lang, spec.tgt_lang)
     resources = {
         lang: LanguageResources(lang=lang, stopwords=frozenset(_stopwords(lang)))
-        for lang in (spec.src_lang, spec.tgt_lang)
+        for lang in langs
+    }
+    # every word of each vocabulary, by lemma index; built per call so that
+    # no table outlives the corpus
+    words = {
+        lang: tuple(_word(lang, i) for i in range(spec.vocab_size_per_lang)) for lang in langs
     }
 
     train_pairs = []
@@ -322,7 +390,9 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticCorpus:
             _MIN_TOKENS, round(rng.gauss(spec.doc_length_mean, spec.doc_length_std))
         )
         train_pairs.append(
-            _make_pair(spec, f"tr{i:04d}", codes, weights, rng, labelled=True, src_tokens=src_tokens)
+            _make_pair(
+                spec, words, f"tr{i:04d}", codes, weights, rng, labelled=True, src_tokens=src_tokens
+            )
         )
 
     jitter = spec.doc_length_std / spec.doc_length_mean
@@ -338,7 +408,9 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticCorpus:
             ),
         )
         test_pairs.append(
-            _make_pair(spec, f"te{i:04d}", codes, weights, rng, labelled=False, src_tokens=src_tokens)
+            _make_pair(
+                spec, words, f"te{i:04d}", codes, weights, rng, labelled=False, src_tokens=src_tokens
+            )
         )
 
     return SyntheticCorpus(

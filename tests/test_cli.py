@@ -302,8 +302,26 @@ def test_every_loader_turns_non_utf8_into_exit_1(workspace, tmp_path, capsys, ta
         '{"n_descriptors": 8,',
         "[8, 60]",
         '{"n_test_pairs": 400}',  # rejected before generation, which would never end
+        # json.load accepts NaN and Infinity; each used to end in a traceback
+        '{"doc_length_mean": NaN}',
+        '{"doc_length_std": NaN}',
+        '{"target_length_inflation": NaN}',
+        '{"target_length_inflation": Infinity}',
+        '{"length_ratio_std": 1e308}',
+        '{"target_length_inflation": 1e6}',  # targets of about 2.5e8 tokens
     ],
-    ids=["unknown-key", "bad-json", "not-an-object", "exploding-length-classes"],
+    ids=[
+        "unknown-key",
+        "bad-json",
+        "not-an-object",
+        "exploding-length-classes",
+        "nan-length-mean",
+        "nan-length-std",
+        "nan-inflation",
+        "infinite-inflation",
+        "overflowing-ratio-std",
+        "huge-inflation",
+    ],
 )
 @pytest.mark.parametrize("command", ["gen-corpus", "evaluate"])
 def test_bad_spec_file_exits_1(tmp_path, capsys, text, command):

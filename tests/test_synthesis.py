@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -7,9 +9,14 @@ from xlingua.errors import ConfigError, ValidationError
 from xlingua.harness import build_pipeline, normalize_corpus
 from xlingua.similarity import estimate_length_model
 from xlingua.synthesis import (
+    _STOPWORD_RATE,
     SyntheticSpec,
     _class_plan,
+    _mix_weights,
+    _sample_tokens,
+    _stopwords,
     _test_plan,
+    _word,
     generate_synthetic,
     write_corpus,
 )
@@ -99,6 +106,42 @@ def test_spec_accepts_default_and_scaled_geometry(kw):
     spec = SyntheticSpec(**kw)
     classes = {c for _, c in _test_plan(spec, random.Random(0))}
     assert classes == set(range(_class_plan(spec)[2])) == set(range(8))
+
+
+# No spec below is ever generated.  Each used to be accepted and then end
+# in a NaN or overflow traceback, or plan a target of about 2.5e8 tokens.
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(doc_length_mean=math.nan), "doc_length_mean must be finite"),
+        (dict(doc_length_std=math.nan), "doc_length_std must be finite"),
+        (dict(target_length_inflation=math.nan), "target_length_inflation must be finite"),
+        (dict(target_length_inflation=math.inf), "target_length_inflation must be finite"),
+        (dict(length_ratio_std=1e308), "longest target document more than 200,000 tokens"),
+        (dict(target_length_inflation=1e6), "longest target document more than 200,000 tokens"),
+        (dict(noise_rate=math.nan), "noise_rate must be finite"),
+    ],
+    ids=[
+        "nan-length-mean",
+        "nan-length-std",
+        "nan-inflation",
+        "infinite-inflation",
+        "overflowing-ratio-std",
+        "huge-inflation",
+        "nan-noise-rate",
+    ],
+)
+def test_spec_rejects_non_finite_and_overflowing_values(kw, message):
+    with pytest.raises(ValidationError, match=message):
+        SyntheticSpec(**kw)
+
+
+def test_target_cap_applies_to_the_top_of_the_ratio_band():
+    # longest source 98,098 tokens; a top ratio of 1.95 + sqrt(3) * 0.05
+    # plans a 199,788-token target, 1.96 one of 200,769
+    SyntheticSpec(doc_length_mean=12_000.0, target_length_inflation=1.95)
+    with pytest.raises(ValidationError, match="200,000 tokens"):
+        SyntheticSpec(doc_length_mean=12_000.0, target_length_inflation=1.96)
 
 
 def test_spec_from_json_names_the_file_in_geometry_errors(tmp_path):
@@ -191,3 +234,84 @@ def test_write_corpus_is_loadable(tmp_path):
 
     test = read_manifest(str(out / "test_manifest.tsv"))
     assert len(test) == 2 * len(corpus.test)
+
+
+def _corpus_digest(corpus) -> str:
+    h = hashlib.sha256()
+    for pairs in (corpus.train.pairs, corpus.test.pairs):
+        for pair in pairs:
+            for d in pair:
+                labels = ",".join(map(str, sorted(d.manual_descriptors or ())))
+                h.update(f"{d.id}\t{d.lang}\t{d.text}\t{labels}\n".encode("utf-8"))
+    return h.hexdigest()
+
+
+# sha256 of every document (id, language, text, sorted labels; training
+# pairs, then test pairs), as the plain random.choices/randrange loop
+# generated them on CPython 3.11.  Generation must never change one byte.
+@pytest.mark.parametrize(
+    "kw, digest",
+    [
+        (dict(), "eb2bb0ac4048699edcc7ffc722a3ecde51fc4ce554dd413291fe4d9c955365b5"),
+        (
+            dict(n_descriptors=120, n_train_docs=1200, n_test_pairs=400, vocab_size_per_lang=4000),
+            "801300be72ab9cfa016d185e5d51bcfd8567547987b81621a31a39b572d75217",
+        ),
+        (
+            dict(
+                n_descriptors=120,
+                n_train_docs=100,
+                n_test_pairs=1,
+                vocab_size_per_lang=4000,
+                rng_seed=1,
+            ),
+            "c84dd9dab9fd7b59d7b85dda1f216f313ae080d3f3af1c9010e86e7f90ebff1b",
+        ),
+    ],
+    ids=["default", "x4", "perfbench-dedupe"],
+)
+def test_corpus_bytes_are_pinned(kw, digest):
+    assert _corpus_digest(generate_synthetic(SyntheticSpec(**kw))) == digest
+
+
+def _plain_sample_tokens(spec, lang, codes, weights, n_tokens, rng):
+    """The reference loop: one random.choices/randrange call per token."""
+    lpd = spec.lemmas_per_descriptor
+    stop = _stopwords(lang)
+    tokens = []
+    for _ in range(n_tokens):
+        if rng.random() < spec.noise_rate:
+            idx = rng.randrange(spec.n_descriptors * lpd, spec.vocab_size_per_lang)
+        else:
+            code = rng.choices(codes, weights=weights, k=1)[0]
+            idx = (code - 1) * lpd + rng.randrange(lpd)
+        tokens.append(_word(lang, idx))
+        if rng.random() < _STOPWORD_RATE:
+            tokens.append(rng.choice(stop))
+    return tokens
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(),
+        dict(noise_rate=0.0, lemmas_per_descriptor=1),  # 1-bit draws, never noise
+        # 64 background words (an exact power of two) and 16 lemmas per block
+        dict(noise_rate=0.9, lemmas_per_descriptor=16, n_descriptors=4, vocab_size_per_lang=128,
+             n_test_pairs=4),
+        dict(lemmas_per_descriptor=33, n_descriptors=9, vocab_size_per_lang=4096, n_test_pairs=8),
+    ],
+)
+def test_sample_tokens_draws_like_the_plain_random_calls(kw):
+    spec = SyntheticSpec(**kw)
+    words = {"en": tuple(_word("en", i) for i in range(spec.vocab_size_per_lang))}
+    topics = random.Random(5)
+    for seed in range(20):
+        n = topics.randint(1, min(4, spec.n_descriptors))
+        codes = tuple(sorted(topics.sample(range(1, spec.n_descriptors + 1), n)))
+        # unnormalised weights too: choices() scales by their total
+        weights = tuple(w * (seed + 1) for w in _mix_weights(n, topics))
+        fast_rng, plain_rng = random.Random(seed), random.Random(seed)
+        fast = _sample_tokens(spec, "en", words, codes, weights, 300, fast_rng)
+        assert fast == _plain_sample_tokens(spec, "en", codes, weights, 300, plain_rng)
+        assert fast_rng.getstate() == plain_rng.getstate()
