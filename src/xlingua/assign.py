@@ -20,7 +20,9 @@ DEFAULT_TOP_K = 100
 class DescriptorVector:
     """Sparse top-K descriptor representation of one document.
 
-    ``entries`` must not change once built: ``norm()`` is cached.
+    ``entries`` must not change once built: ``norm()`` and ``arrays`` are
+    computed from it once per vector and cached, so a changed dict
+    would be scored with its old norm and old weights.
     """
 
     doc_id: str
@@ -38,6 +40,20 @@ class DescriptorVector:
     def _norm(self) -> float:
         # once per vector: every search takes the norm of every candidate
         return math.sqrt(sum(s * s for s in self.entries.values()))
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The entries as read-only int64 codes and float64 weights.
+
+        Built once per vector: every search stacks the rows of every
+        candidate.  The arrays keep the dict's entry order.
+        """
+        n = len(self.entries)
+        codes = np.fromiter(self.entries, dtype=np.int64, count=n)
+        weights = np.fromiter(self.entries.values(), dtype=np.float64, count=n)
+        # the same arrays go to every caller
+        codes.flags.writeable = weights.flags.writeable = False
+        return codes, weights
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -160,25 +160,26 @@ def _cosines(queries: Sequence[DocRecord], candidates: Sequence[DocRecord]) -> n
     A BLAS matrix product would sum in an order that depends on where a
     candidate sits in the matrix, so that identical candidates could score
     apart by rounding and exact ties would not be broken by id.
+
+    The dense rows are scattered from each vector's ``arrays``, which the
+    vector builds once and caches, so a search over a pool that grows by
+    appends converts only the records it has not seen before.  The rows
+    are the ones the ``entries`` dicts give: the scatter puts each weight
+    in its code's column whatever the entry order, and the sums run over
+    the columns, so every cosine stays bit-identical.
     """
+    n_q, n_c = len(queries), len(candidates)
     records = [*queries, *candidates]
-    codes: list[int] = []
-    weights: list[float] = []
-    sizes = []
-    norms = []
-    for r in records:
-        entries = r.vector.entries
-        codes += entries
-        weights += entries.values()
-        sizes.append(len(entries))
-        norms.append(r.vector.norm())
-    distinct, column = np.unique(np.array(codes, dtype=np.int64), return_inverse=True)
+    if not records:
+        return np.zeros((n_q, n_c))  # np.concatenate needs at least one array
+    arrays = [r.vector.arrays for r in records]
+    distinct, column = np.unique(np.concatenate([c for c, _ in arrays]), return_inverse=True)
     # One trailing zero column keeps every row non-empty; adding 0.0 to a
     # sum is exact.
     dense = np.zeros((len(records), len(distinct) + 1))
-    dense[np.repeat(np.arange(len(records)), sizes), column] = weights
-    norm = np.array(norms)
-    n_q, n_c = len(queries), len(candidates)
+    row = np.repeat(np.arange(len(records)), [len(c) for c, _ in arrays])
+    dense[row, column] = np.concatenate([w for _, w in arrays])
+    norm = np.array([r.vector.norm() for r in records])
     q, c = dense[:n_q], dense[n_q:]
     dots = np.empty((n_q, n_c))
     step = max(1, _PRODUCT_BLOCK // max(1, c.size))

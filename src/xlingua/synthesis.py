@@ -135,6 +135,15 @@ class SyntheticSpec:
                 f" {self.length_ratio_std} make the longest target document more than"
                 f" {MAX_TARGET_TOKENS:,} tokens"
             )
+        # _make_pair draws target/source ratios from this band; below 0 they
+        # would all be clamped to _MIN_TOKENS and skew the configured ratios
+        bottom_ratio = self.target_length_inflation - self.length_ratio_std * _SQRT3
+        if bottom_ratio <= 0:
+            raise ValidationError(
+                f"target_length_inflation {self.target_length_inflation} and length_ratio_std"
+                f" {self.length_ratio_std} put the bottom of the target/source length ratio"
+                f" band, inflation - sqrt(3) * std = {bottom_ratio:.4g}, at or below 0"
+            )
 
     @staticmethod
     def from_json(path: str) -> "SyntheticSpec":

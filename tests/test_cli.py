@@ -309,6 +309,7 @@ def test_every_loader_turns_non_utf8_into_exit_1(workspace, tmp_path, capsys, ta
         '{"target_length_inflation": Infinity}',
         '{"length_ratio_std": 1e308}',
         '{"target_length_inflation": 1e6}',  # targets of about 2.5e8 tokens
+        '{"length_ratio_std": 1.0}',  # ratios down to 1.135 - sqrt(3) < 0
     ],
     ids=[
         "unknown-key",
@@ -321,6 +322,7 @@ def test_every_loader_turns_non_utf8_into_exit_1(workspace, tmp_path, capsys, ta
         "infinite-inflation",
         "overflowing-ratio-std",
         "huge-inflation",
+        "negative-ratio-band",
     ],
 )
 @pytest.mark.parametrize("command", ["gen-corpus", "evaluate"])

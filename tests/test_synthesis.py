@@ -144,6 +144,26 @@ def test_target_cap_applies_to_the_top_of_the_ratio_band():
         SyntheticSpec(doc_length_mean=12_000.0, target_length_inflation=1.96)
 
 
+# No spec below is ever generated.  Each used to be accepted, and every
+# target drawn below ratio 0 came out at the 30-token floor.
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(length_ratio_std=1.0),  # bottom 1.135 - 1.7321 = -0.597
+        dict(length_ratio_std=0.7),  # bottom 1.135 - 1.2124 = -0.077
+        dict(target_length_inflation=math.sqrt(3), length_ratio_std=1.0),  # bottom exactly 0
+    ],
+)
+def test_spec_rejects_a_ratio_band_reaching_zero(kw):
+    with pytest.raises(ValidationError, match="length ratio band.*at or below 0"):
+        SyntheticSpec(**kw)
+
+
+def test_ratio_band_just_above_zero_is_accepted():
+    # bottom 1.135 - sqrt(3) * 0.65 = 0.0092
+    SyntheticSpec(length_ratio_std=0.65)
+
+
 def test_spec_from_json_names_the_file_in_geometry_errors(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text('{"n_test_pairs": 400}', encoding="utf-8")
