@@ -86,9 +86,9 @@ def assign(doc: NormalizedDocument, profiles: ProfileSet, k: int = DEFAULT_TOP_K
     query_norm = math.sqrt(sum(c * c for c in doc.lemma_freq.values()))
     scores = csr_cosine_scores(indptr, indices, data, norms, query, query_norm)
 
-    scored = [
-        (min(float(s), 1.0), code) for s, code in zip(scores, codes) if s > 0.0
-    ]
-    scored.sort(key=lambda sc: (-sc[0], sc[1]))
-    entries = {code: s for s, code in scored[:k]}
+    positive = np.flatnonzero(scores > 0.0)
+    clamped = np.minimum(scores[positive], 1.0)
+    # the codes ascend, so a stable sort breaks ties by ascending code
+    top = np.argsort(-clamped, kind="stable")[:k]
+    entries = dict(zip(codes[positive[top]].tolist(), clamped[top].tolist()))
     return DescriptorVector(doc_id=doc.id, lang=doc.lang, entries=entries)

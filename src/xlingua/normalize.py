@@ -12,6 +12,7 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from xlingua.errors import ParseError, ValidationError, open_text
 
@@ -26,6 +27,16 @@ class LanguageResources:
     stopwords: frozenset[str] = frozenset()
     lemma_lexicon: dict[str, str] = field(default_factory=dict)
     compounds: tuple[tuple[str, ...], ...] = ()
+
+    @cached_property
+    def _compound_index(self) -> dict[str, list[tuple[str, ...]]]:
+        """Compounds by first lemma, longest first; built once, not per document."""
+        by_first: dict[str, list[tuple[str, ...]]] = {}
+        for seq in self.compounds:
+            by_first.setdefault(seq[0], []).append(tuple(seq))
+        for seqs in by_first.values():
+            seqs.sort(key=len, reverse=True)
+        return by_first
 
 
 @dataclass(frozen=True)
@@ -52,22 +63,20 @@ class NormalizedDocument:
 
 def tokenize(text: str) -> list[str]:
     """Lowercased maximal runs of letters/digits; punctuation discarded."""
-    return _TOKEN_RE.findall(text.lower())
+    text = text.lower()
+    tokens = text.split()
+    # str.isalnum() and the class [^\W_] agree on every code point, and no
+    # whitespace is alphanumeric: when the whitespace-separated pieces are
+    # all alphanumeric, they are exactly the regex's runs
+    if "".join(tokens).isalnum():
+        return tokens
+    return _TOKEN_RE.findall(text)
 
 
-def _compound_index(compounds) -> dict[str, list[tuple[str, ...]]]:
-    by_first: dict[str, list[tuple[str, ...]]] = {}
-    for seq in compounds:
-        by_first.setdefault(seq[0], []).append(tuple(seq))
-    for seqs in by_first.values():
-        seqs.sort(key=len, reverse=True)
-    return by_first
-
-
-def _join_compounds(lemmas: list[str], compounds) -> list[str]:
-    if not compounds:
+def _join_compounds(lemmas: list[str], res: LanguageResources) -> list[str]:
+    if not res.compounds:
         return lemmas
-    by_first = _compound_index(compounds)
+    by_first = res._compound_index
     out: list[str] = []
     i = 0
     n = len(lemmas)
@@ -97,9 +106,14 @@ def normalize(doc: RawDocument, res: LanguageResources) -> NormalizedDocument:
             f"document {doc.id}: language {doc.lang!r} does not match resources {res.lang!r}"
         )
     tokens = tokenize(doc.text)
-    lemmas = [res.lemma_lexicon.get(tok, tok) for tok in tokens]
-    lemmas = _join_compounds(lemmas, res.compounds)
-    counts = Counter(lm for lm in lemmas if lm not in res.stopwords)
+    lexicon = res.lemma_lexicon
+    lemmas = [lexicon.get(tok, tok) for tok in tokens] if lexicon else tokens
+    lemmas = _join_compounds(lemmas, res)
+    # counted before the stopwords go: deleting keys keeps the remaining
+    # lemmas in first-occurrence order
+    counts = Counter(lemmas)
+    for lm in counts.keys() & res.stopwords:
+        del counts[lm]
     return NormalizedDocument(
         id=doc.id,
         lang=doc.lang,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Iterable
 
 import numpy as np
@@ -22,6 +23,11 @@ from xlingua.thesaurus import Thesaurus
 IDF_LOG_N_OVER_DF = "log_n_over_df"
 IDF_LOG_N_OVER_DF_PLUS_ONE = "log_n_over_df_plus_one"
 _IDF_VARIANTS = (IDF_LOG_N_OVER_DF, IDF_LOG_N_OVER_DF_PLUS_ONE)
+
+# np.bincount copies its input to intp and float64. Over a whole corpus
+# those copies are large, freshly mapped blocks, which raised perfbench's
+# peak RSS by about 1 MB; 8,192 rows keep each copy at 64 KiB.
+_BINCOUNT_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -86,7 +92,7 @@ class ProfileSet:
     _csr_cache: tuple | None = field(default=None, repr=False, compare=False)
 
     def csr(self) -> tuple:
-        """CSR view of all profiles (lemma vocab, arrays, code order).
+        """CSR view of all profiles (ascending codes, lemma vocab, arrays).
 
         Built once on first use; the set is otherwise immutable.
         """
@@ -105,7 +111,7 @@ class ProfileSet:
                 indptr.append(len(indices))
                 norms.append(p.norm)
             self._csr_cache = (
-                codes,
+                np.asarray(codes, dtype=np.int64),
                 vocab,
                 np.asarray(indptr, dtype=np.int64),
                 np.asarray(indices, dtype=np.int64),
@@ -186,18 +192,38 @@ def train_profiles(
         raise ValidationError(f"training corpus mixes languages: {sorted(langs)}")
     lang = docs[0].lang
 
-    vocab: dict[str, int] = {}
-    doc_freq: dict[str, int] = {}
-    global_counts: dict[str, int] = {}
-    doc_totals: list[int] = []
-    for doc in docs:
-        doc_totals.append(sum(doc.lemma_freq.values()))
-        for lemma, cnt in doc.lemma_freq.items():
-            vocab.setdefault(lemma, len(vocab))
-            doc_freq[lemma] = doc_freq.get(lemma, 0) + 1
-            global_counts[lemma] = global_counts.get(lemma, 0) + cnt
-    grand_total = sum(doc_totals)
     n_docs = len(docs)
+    # doc_freq keeps the lemmas in first-occurrence order; until the
+    # document frequencies replace them, its values are the lemma ids,
+    # numbered in lexicographic order so that ascending id is lemma order
+    doc_freq: dict[str, int] = dict.fromkeys(chain.from_iterable(d.lemma_freq for d in docs))
+    lemmas = sorted(doc_freq)
+    doc_freq.update(zip(lemmas, range(len(lemmas))))
+    # one row per (document, lemma), documents in corpus order; the rows are
+    # int32 to keep these corpus-sized arrays small
+    bounds = [0, *accumulate(len(d.lemma_freq) for d in docs)]
+    n_rows = bounds[-1]
+    ids = np.fromiter(
+        map(doc_freq.__getitem__, chain.from_iterable(d.lemma_freq for d in docs)),
+        dtype=np.int32,
+        count=n_rows,
+    )
+    counts = np.fromiter(
+        chain.from_iterable(d.lemma_freq.values() for d in docs), dtype=np.int32, count=n_rows
+    )
+    # float64 sums of integer counts are exact below 2**53
+    df = np.zeros(len(lemmas), dtype=np.int64)
+    global_counts = np.zeros(len(lemmas))
+    for start in range(0, n_rows, _BINCOUNT_ROWS):
+        block = slice(start, start + _BINCOUNT_ROWS)
+        df += np.bincount(ids[block], minlength=len(lemmas))
+        global_counts += np.bincount(ids[block], weights=counts[block], minlength=len(lemmas))
+    doc_freq.update(zip(lemmas, df.tolist()))
+    grand_total = counts.sum()
+    # idf depends on the lemma only through its df
+    idf_by_df = np.array(
+        [0.0] + [idf(d, n_docs, config.idf_variant) for d in range(1, int(df.max(initial=0)) + 1)]
+    )
 
     by_descriptor: dict[int, list[int]] = {}
     for i, doc in enumerate(docs):
@@ -209,39 +235,27 @@ def train_profiles(
         doc_idxs = by_descriptor.get(code)
         if not doc_idxs:
             continue
-        subset_counts: dict[str, int] = {}
-        subset_df: dict[str, int] = {}
-        subset_total = 0
-        for i in doc_idxs:
-            subset_total += doc_totals[i]
-            for lemma, cnt in docs[i].lemma_freq.items():
-                subset_counts[lemma] = subset_counts.get(lemma, 0) + cnt
-                subset_df[lemma] = subset_df.get(lemma, 0) + 1
-        candidates = sorted(
-            lemma for lemma, df in subset_df.items() if df >= config.min_doc_freq
-        )
-        if not candidates:
+        # the subset's rows: each of its documents' runs, concatenated
+        sub_ids = np.concatenate([ids[bounds[i]:bounds[i + 1]] for i in doc_idxs])
+        sub_counts = np.concatenate([counts[bounds[i]:bounds[i + 1]] for i in doc_idxs])
+        subset_total = sub_counts.sum()
+        # a lemma occurs once per document, so its rows count its documents
+        candidates = np.flatnonzero(np.bincount(sub_ids) >= config.min_doc_freq)
+        if not len(candidates):
             continue
-        k11 = np.array([subset_counts[lm] for lm in candidates], dtype=np.float64)
+        k11 = np.bincount(sub_ids, weights=sub_counts)[candidates]
         k12 = subset_total - k11
-        k21 = np.array([global_counts[lm] for lm in candidates], dtype=np.float64) - k11
+        k21 = global_counts[candidates] - k11
         k22 = (grand_total - subset_total) - k21
         g2 = g2_batch(k11, k12, k21, k22)
         # positive association: subset rate strictly above the global rate
         positive = k11 * grand_total > (k11 + k21) * subset_total
-        keep = (g2 >= config.g2_threshold) & positive
-        scored = [
-            (
-                g2[i] * idf(doc_freq[candidates[i]], n_docs, config.idf_variant),
-                candidates[i],
-            )
-            for i in np.nonzero(keep)[0]
-        ]
-        scored = [(w, lm) for w, lm in scored if w > 0]
-        if not scored:
+        weights = g2 * idf_by_df[df[candidates]]
+        keep = (g2 >= config.g2_threshold) & positive & (weights > 0)
+        if not keep.any():
             continue
-        scored.sort(key=lambda wl: (-wl[0], wl[1]))
-        associates = [(lm, w) for w, lm in scored[: config.max_associates]]
+        scored = sorted(zip((-weights[keep]).tolist(), candidates[keep].tolist()))
+        associates = [(lemmas[lemma_id], -w) for w, lemma_id in scored[: config.max_associates]]
         profiles[code] = AssociateProfile.from_associates(code, lang, associates)
 
     if not profiles:

@@ -1,9 +1,13 @@
+from collections import Counter
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from xlingua.errors import ParseError, ValidationError
 from xlingua.normalize import (
+    _TOKEN_RE,
+    COMPOUND_JOINER,
     LanguageResources,
     RawDocument,
     load_language_resources,
@@ -24,6 +28,30 @@ def test_tokenize_keeps_unicode_words():
 @given(st.text())
 def test_tokenize_never_emits_empty_tokens(text):
     assert all(tok for tok in tokenize(text))
+
+
+# whitespace str.split() splits on, letters and digits, the regex's one word
+# character that is not alphanumeric, a combining mark, a letter whose
+# lowercase adds a combining mark, and a digit that is not decimal
+_SPACES = " \t\n\x1c\x1d\x1e\x1f\xa0\u3000\u2028"
+_WORDS = "aZ9éß\u4e00\u0661"
+_TRICKY = "_,\u0301\u0130\xb2"
+
+
+@given(
+    st.text(alphabet=_SPACES + _WORDS)
+    | st.text(alphabet=st.sampled_from(_SPACES + _WORDS + _TRICKY) | st.characters())
+)
+@example(" two  spaces ")
+@example("a\x1cb\x1fc")
+@example("no\xa0break\u3000ideographic space")
+@example("snake_case")
+@example("cafe\u0301")
+@example("\u0130stanbul")
+@example("x\xb2 \xb2")
+def test_tokenize_matches_the_regex(text):
+    """The split() fast path returns exactly the regex's tokens."""
+    assert tokenize(text) == _TOKEN_RE.findall(text.lower())
 
 
 def test_normalize_pipeline_order():
@@ -48,6 +76,62 @@ def test_normalize_longest_compound_wins():
     )
     norm = normalize(RawDocument(id="d", lang="en", text="a b c"), res)
     assert norm.lemma_freq == {"a_b_c": 1}
+
+
+def reference_normalize(doc, res):
+    """normalize as a regex, a per-document compound index and a filtered Counter."""
+    tokens = _TOKEN_RE.findall(doc.text.lower())
+    lemmas = [res.lemma_lexicon.get(tok, tok) for tok in tokens]
+    if res.compounds:
+        by_first = {}
+        for seq in res.compounds:
+            by_first.setdefault(seq[0], []).append(tuple(seq))
+        for seqs in by_first.values():
+            seqs.sort(key=len, reverse=True)
+        out, i = [], 0
+        while i < len(lemmas):
+            for seq in by_first.get(lemmas[i], ()):
+                if tuple(lemmas[i : i + len(seq)]) == seq:
+                    out.append(COMPOUND_JOINER.join(seq))
+                    i += len(seq)
+                    break
+            else:
+                out.append(lemmas[i])
+                i += 1
+        lemmas = out
+    counts = Counter(lm for lm in lemmas if lm not in res.stopwords)
+    return dict(counts), len(tokens)
+
+
+# compounds that overlap: shared first lemmas, nested and chained sequences
+_OVERLAPPING = LanguageResources(
+    lang="en",
+    stopwords=frozenset({"the", "of", "b"}),
+    lemma_lexicon={"fish": "fishery", "bs": "b", "cs": "c"},
+    compounds=(("a", "b"), ("a", "b", "c"), ("b", "c"), ("c", "a"), ("fishery", "policy")),
+)
+_PLAIN = LanguageResources(lang="en", stopwords=frozenset({"the"}))
+
+
+@given(
+    st.lists(
+        st.lists(
+            st.sampled_from(["a", "b", "c", "bs", "cs", "the", "of", "fish", "policy", "Ñu", "x_y", "A,"]),
+            max_size=30,
+        ).map(" ".join),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_normalize_matches_the_reference_on_many_documents(texts):
+    """One resources object serves every document; counts keep their order."""
+    for res in (_OVERLAPPING, _PLAIN):
+        for i, text in enumerate(texts):
+            doc = RawDocument(id=f"d{i}", lang="en", text=text)
+            norm = normalize(doc, res)
+            lemma_freq, token_count = reference_normalize(doc, res)
+            assert list(norm.lemma_freq.items()) == list(lemma_freq.items())
+            assert norm.token_count == token_count
 
 
 def test_normalize_language_mismatch():

@@ -1,12 +1,19 @@
 import math
+import re
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xlingua.profiles as profiles_module
 from xlingua.errors import ParseError, ValidationError
+from xlingua.kernels import g2_batch
 from xlingua.normalize import NormalizedDocument
 from xlingua.profiles import (
+    IDF_LOG_N_OVER_DF,
+    IDF_LOG_N_OVER_DF_PLUS_ONE,
     AssociateProfile,
     ContingencyTable,
     ProfileSet,
@@ -140,6 +147,120 @@ def test_train_profiles_weight_is_g2_times_idf():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def reference_train_profiles(corpus, thesaurus, config=None):
+    """train_profiles as dict loops over lemma strings: the exact reference."""
+    config = config or TrainingConfig()
+    docs = list(corpus)
+    if not docs:
+        raise ValidationError("empty training corpus")
+    if len({d.lang for d in docs}) != 1:
+        raise ValidationError("training corpus mixes languages")
+    lang = docs[0].lang
+    doc_freq, global_counts, doc_totals = {}, {}, []
+    for doc in docs:
+        doc_totals.append(sum(doc.lemma_freq.values()))
+        for lemma, cnt in doc.lemma_freq.items():
+            doc_freq[lemma] = doc_freq.get(lemma, 0) + 1
+            global_counts[lemma] = global_counts.get(lemma, 0) + cnt
+    grand_total = sum(doc_totals)
+    by_descriptor = {}
+    for i, doc in enumerate(docs):
+        for code in doc.manual_descriptors or ():
+            by_descriptor.setdefault(code, []).append(i)
+    profiles = {}
+    for code in sorted(thesaurus.descriptors):
+        doc_idxs = by_descriptor.get(code)
+        if not doc_idxs:
+            continue
+        subset_counts, subset_df, subset_total = {}, {}, 0
+        for i in doc_idxs:
+            subset_total += doc_totals[i]
+            for lemma, cnt in docs[i].lemma_freq.items():
+                subset_counts[lemma] = subset_counts.get(lemma, 0) + cnt
+                subset_df[lemma] = subset_df.get(lemma, 0) + 1
+        candidates = sorted(lm for lm, df in subset_df.items() if df >= config.min_doc_freq)
+        if not candidates:
+            continue
+        k11 = np.array([subset_counts[lm] for lm in candidates], dtype=np.float64)
+        k12 = subset_total - k11
+        k21 = np.array([global_counts[lm] for lm in candidates], dtype=np.float64) - k11
+        k22 = (grand_total - subset_total) - k21
+        g2 = g2_batch(k11, k12, k21, k22)
+        positive = k11 * grand_total > (k11 + k21) * subset_total
+        keep = (g2 >= config.g2_threshold) & positive
+        scored = [
+            (g2[i] * idf(doc_freq[candidates[i]], len(docs), config.idf_variant), candidates[i])
+            for i in np.nonzero(keep)[0]
+        ]
+        scored = [(w, lm) for w, lm in scored if w > 0]
+        if not scored:
+            continue
+        scored.sort(key=lambda wl: (-wl[0], wl[1]))
+        associates = [(lm, w) for w, lm in scored[: config.max_associates]]
+        profiles[code] = AssociateProfile.from_associates(code, lang, associates)
+    if not profiles:
+        raise ValidationError("no descriptor has any training document with surviving associates")
+    return ProfileSet(lang=lang, profiles=profiles, n_docs=len(docs), doc_freq=doc_freq, config=config)
+
+
+# short lemmas, so documents share them; non-ASCII ones sort after ASCII
+_LEMMAS = ["a", "b", "ab", "z", "é", "ß", "Ω", "ñu", "日本"]
+
+
+@st.composite
+def training_corpora(draw):
+    n_docs = draw(st.integers(min_value=1, max_value=12))
+    # a twin lemma always has the counts of "a", so their weights tie
+    twin = draw(st.booleans())
+    docs = []
+    for i in range(n_docs):
+        lemma_freq = draw(st.dictionaries(st.sampled_from(_LEMMAS), st.integers(1, 4), max_size=6))
+        lemma_freq.pop("ß", None)
+        if twin and "a" in lemma_freq:
+            lemma_freq["ß"] = lemma_freq["a"]
+        # codes 1-4 are in the thesaurus, 9 is not; None is an unindexed document
+        codes = draw(st.none() | st.frozensets(st.sampled_from([1, 2, 3, 4, 9]), max_size=3))
+        docs.append(
+            NormalizedDocument(
+                id=f"d{i}", lang="en", lemma_freq=lemma_freq, char_length=10,
+                token_count=sum(lemma_freq.values()), manual_descriptors=codes,
+            )
+        )
+    # a repeated document ties the weights of its lemmas
+    if draw(st.booleans()):
+        docs += docs[: draw(st.integers(1, n_docs))]
+    config = TrainingConfig(
+        min_doc_freq=draw(st.integers(1, 4)),
+        g2_threshold=draw(st.sampled_from([0.0, 0.5, 3.84])),
+        max_associates=draw(st.integers(1, 4)),
+        idf_variant=draw(st.sampled_from([IDF_LOG_N_OVER_DF, IDF_LOG_N_OVER_DF_PLUS_ONE])),
+    )
+    return docs, config
+
+
+@given(training_corpora())
+@settings(deadline=None, max_examples=300)
+def test_train_profiles_equals_the_dict_loop_reference(corpus):
+    docs, config = corpus
+    try:
+        want = reference_train_profiles(docs, flat_thesaurus(4), config)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=re.escape(str(exc))):
+            train_profiles(docs, flat_thesaurus(4), config)
+        return
+    # the corpus counts are summed in blocks of rows; 3-row blocks split
+    # these small corpora too
+    for block_rows in (profiles_module._BINCOUNT_ROWS, 3):
+        with mock.patch.object(profiles_module, "_BINCOUNT_ROWS", block_rows):
+            got = train_profiles(docs, flat_thesaurus(4), config)
+        assert list(got.profiles) == list(want.profiles)
+        for code, profile in want.profiles.items():
+            # tuples of floats: weights and norms are equal to the last bit
+            assert got.profiles[code] == profile
+        assert list(got.doc_freq.items()) == list(want.doc_freq.items())
+        assert (got.lang, got.n_docs, got.config) == (want.lang, want.n_docs, want.config)
+
+
 def test_train_profiles_rejects_mixed_languages():
     corpus = make_training_corpus()
     bad = NormalizedDocument(
@@ -159,7 +280,8 @@ def test_profile_norm_matches_weights():
 @settings(deadline=None)
 def test_idf_monotone_in_df(n_extra, df):
     n_docs = df + n_extra
-    assert idf(df, n_docs) >= idf(df + 1, n_docs + 1) - 1e-12 or True
+    # adding a document that holds the lemma never raises its idf
+    assert idf(df, n_docs) >= idf(df + 1, n_docs + 1)
     # rarer lemmas never get a smaller idf within a fixed corpus
     if df + 1 <= n_docs:
         assert idf(df, n_docs) >= idf(df + 1, n_docs)
