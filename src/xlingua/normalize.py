@@ -63,14 +63,16 @@ class NormalizedDocument:
 
 def tokenize(text: str) -> list[str]:
     """Lowercased maximal runs of letters/digits; punctuation discarded."""
-    text = text.lower()
-    tokens = text.split()
     # str.isalnum() and the class [^\W_] agree on every code point, and no
-    # whitespace is alphanumeric: when the whitespace-separated pieces are
-    # all alphanumeric, they are exactly the regex's runs
-    if "".join(tokens).isalnum():
-        return tokens
-    return _TOKEN_RE.findall(text)
+    # whitespace is alphanumeric: a run never crosses a whitespace piece, and
+    # an all-alphanumeric piece is one run
+    tokens: list[str] = []
+    for piece in text.lower().split():
+        if piece.isalnum():
+            tokens.append(piece)
+        else:
+            tokens += _TOKEN_RE.findall(piece)
+    return tokens
 
 
 def _join_compounds(lemmas: list[str], res: LanguageResources) -> list[str]:
