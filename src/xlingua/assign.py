@@ -55,9 +55,6 @@ class DescriptorVector:
         codes.flags.writeable = weights.flags.writeable = False
         return codes, weights
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def assign(doc: NormalizedDocument, profiles: ProfileSet, k: int = DEFAULT_TOP_K) -> DescriptorVector:
     """Score the document against every profile and keep the k best.

@@ -121,6 +121,8 @@ def _load_records(args) -> tuple[list[DocRecord], str]:
 
 def _similarity_opts(args) -> tuple[SimilarityOptions, LengthModel | None]:
     model = load_length_model(args.length_model) if args.length_model else None
+    if model is None and not args.no_lf:
+        print("note: no --length-model given, so the length factor is off", file=sys.stderr)
     use_lf = model is not None and not args.no_lf
     opts = SimilarityOptions(
         use_length_factor=use_lf,

@@ -9,7 +9,8 @@ G2 x IDF and the top entries kept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain
 from typing import Iterable
 
@@ -29,25 +30,8 @@ _IDF_VARIANTS = (IDF_LOG_N_OVER_DF, IDF_LOG_N_OVER_DF_PLUS_ONE)
 # peak RSS by about 1 MB; 8,192 rows keep each copy at 64 KiB.
 _BINCOUNT_ROWS = 1 << 13
 
-
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Token counts of one lemma inside/outside a descriptor's subset.
-
-    k11: lemma tokens in the subset; k12: other tokens in the subset;
-    k21: lemma tokens outside; k22: other tokens outside.
-    """
-
-    k11: int
-    k12: int
-    k21: int
-    k22: int
-
-    def __post_init__(self) -> None:
-        for name in ("k11", "k12", "k21", "k22"):
-            v = getattr(self, name)
-            if v < 0:
-                raise ValidationError(f"contingency cell {name} negative: {v}")
+# fields per line of a saved profile set, the tag included
+_FIELDS = {"PROFILESET": 3, "P": 2, "A": 3}
 
 
 @dataclass(frozen=True)
@@ -87,52 +71,37 @@ class ProfileSet:
     lang: str
     profiles: dict[int, AssociateProfile]
     n_docs: int
-    doc_freq: dict[str, int] = field(default_factory=dict)
-    config: TrainingConfig | None = None
-    _csr_cache: tuple | None = field(default=None, repr=False, compare=False)
 
     def csr(self) -> tuple:
         """CSR view of all profiles (ascending codes, lemma vocab, arrays).
 
         Built once on first use; the set is otherwise immutable.
         """
-        if self._csr_cache is None:
-            codes = sorted(self.profiles)
-            vocab: dict[str, int] = {}
-            indptr = [0]
-            indices: list[int] = []
-            data: list[float] = []
-            norms: list[float] = []
-            for code in codes:
-                p = self.profiles[code]
-                for lemma, w in p.associates:
-                    indices.append(vocab.setdefault(lemma, len(vocab)))
-                    data.append(w)
-                indptr.append(len(indices))
-                norms.append(p.norm)
-            self._csr_cache = (
-                np.asarray(codes, dtype=np.int64),
-                vocab,
-                np.asarray(indptr, dtype=np.int64),
-                np.asarray(indices, dtype=np.int64),
-                np.asarray(data, dtype=np.float64),
-                np.asarray(norms, dtype=np.float64),
-            )
-        return self._csr_cache
+        return self._csr
 
-
-def log_likelihood(t: ContingencyTable) -> float:
-    """Dunning's G2 for one 2x2 table; 0 for degenerate marginals."""
-    a, b, c, d = float(t.k11), float(t.k12), float(t.k21), float(t.k22)
-    n = a + b + c + d
-    r1, r2, c1, c2 = a + b, c + d, a + c, b + d
-    if r1 <= 0 or r2 <= 0 or c1 <= 0 or c2 <= 0:
-        return 0.0
-    g = 0.0
-    for o, r, col in ((a, r1, c1), (b, r1, c2), (c, r2, c1), (d, r2, c2)):
-        if o > 0:
-            g += o * math.log(o * n / (r * col))
-    return max(2.0 * g, 0.0)
+    @cached_property
+    def _csr(self) -> tuple:
+        codes = sorted(self.profiles)
+        vocab: dict[str, int] = {}
+        indptr = [0]
+        indices: list[int] = []
+        data: list[float] = []
+        norms: list[float] = []
+        for code in codes:
+            p = self.profiles[code]
+            for lemma, w in p.associates:
+                indices.append(vocab.setdefault(lemma, len(vocab)))
+                data.append(w)
+            indptr.append(len(indices))
+            norms.append(p.norm)
+        return (
+            np.asarray(codes, dtype=np.int64),
+            vocab,
+            np.asarray(indptr, dtype=np.int64),
+            np.asarray(indices, dtype=np.int64),
+            np.asarray(data, dtype=np.float64),
+            np.asarray(norms, dtype=np.float64),
+        )
 
 
 def idf(df: int, n_docs: int, variant: str = IDF_LOG_N_OVER_DF_PLUS_ONE) -> float:
@@ -144,31 +113,6 @@ def idf(df: int, n_docs: int, variant: str = IDF_LOG_N_OVER_DF_PLUS_ONE) -> floa
     if variant == IDF_LOG_N_OVER_DF_PLUS_ONE:
         return math.log(n_docs / (df + 1)) + 1.0
     raise ValidationError(f"unknown idf_variant {variant!r}")
-
-
-def build_contingency(
-    lemma: str, descriptor: int, corpus: Iterable[NormalizedDocument]
-) -> ContingencyTable:
-    """Token-level contingency of one lemma against one descriptor subset."""
-    corpus = list(corpus)
-    if not corpus:
-        raise ValidationError("empty corpus")
-    in_lemma = in_other = out_lemma = out_other = 0
-    subset_seen = False
-    for doc in corpus:
-        total = sum(doc.lemma_freq.values())
-        cnt = doc.lemma_freq.get(lemma, 0)
-        in_subset = doc.manual_descriptors is not None and descriptor in doc.manual_descriptors
-        if in_subset:
-            subset_seen = True
-            in_lemma += cnt
-            in_other += total - cnt
-        else:
-            out_lemma += cnt
-            out_other += total - cnt
-    if not subset_seen:
-        raise ValidationError(f"descriptor {descriptor}: no training document carries it")
-    return ContingencyTable(in_lemma, in_other, out_lemma, out_other)
 
 
 def train_profiles(
@@ -193,11 +137,7 @@ def train_profiles(
     lang = docs[0].lang
 
     n_docs = len(docs)
-    # first-occurrence order; the document frequencies fill it in below
-    # (filling this dict in, rather than building a second one, kept the
-    # peak RSS of training on the perfbench stream corpus about 0.2 MB lower)
-    doc_freq: dict[str, int] = dict.fromkeys(chain.from_iterable(d.lemma_freq for d in docs))
-    lemmas = sorted(doc_freq)
+    lemmas = sorted(set(chain.from_iterable(d.lemma_freq for d in docs)))
     # ids in lexicographic order, so that ascending id is lemma order
     lemma_id = dict(zip(lemmas, range(len(lemmas))))
     # one row per (document, lemma), documents in corpus order; the rows are
@@ -219,7 +159,6 @@ def train_profiles(
         block = slice(start, start + _BINCOUNT_ROWS)
         df += np.bincount(ids[block], minlength=len(lemmas))
         global_counts += np.bincount(ids[block], weights=counts[block], minlength=len(lemmas))
-    doc_freq.update(zip(lemmas, df.tolist()))
     grand_total = counts.sum()
     # idf depends on the lemma only through its df
     idf_by_df = np.array(
@@ -261,7 +200,7 @@ def train_profiles(
 
     if not profiles:
         raise ValidationError("no descriptor has any training document with surviving associates")
-    return ProfileSet(lang=lang, profiles=profiles, n_docs=n_docs, doc_freq=doc_freq, config=config)
+    return ProfileSet(lang=lang, profiles=profiles, n_docs=n_docs)
 
 
 def save_profiles(ps: ProfileSet, path: str) -> None:
@@ -281,11 +220,14 @@ def load_profiles(path: str) -> ProfileSet:
     n_docs = 0
     profiles: dict[int, AssociateProfile] = {}
     current_code: int | None = None
+    current_line = 0  # the line of current_code's P
     current: dict[str, float] = {}  # lemma -> weight, in file order
 
     def flush() -> None:
         nonlocal current_code, current
         if current_code is not None:
+            if not current:
+                raise ParseError(f"{path}:{current_line}: profile P {current_code} has no associates")
             profiles[current_code] = AssociateProfile.from_associates(
                 current_code, lang, current.items()
             )
@@ -298,15 +240,24 @@ def load_profiles(path: str) -> ProfileSet:
                 continue
             parts = line.split()
             try:
+                # an unknown tag passes this check and is rejected below
+                if len(parts) != _FIELDS.get(parts[0], len(parts)):
+                    raise ParseError(
+                        f"{path}:{lineno}: {parts[0]} takes {_FIELDS[parts[0]] - 1} fields: {line!r}"
+                    )
                 if parts[0] == "PROFILESET":
                     if lang is not None:
                         raise ParseError(f"{path}:{lineno}: repeated PROFILESET header")
                     lang, n_docs = parts[1], int(parts[2])
+                    if n_docs < 1:
+                        raise ParseError(f"{path}:{lineno}: document count {n_docs} must be >= 1")
                 elif parts[0] == "P":
                     if lang is None:
                         raise ParseError(f"{path}:{lineno}: P before PROFILESET header")
                     flush()
-                    current_code = int(parts[1])
+                    current_code, current_line = int(parts[1]), lineno
+                    if current_code < 1:
+                        raise ParseError(f"{path}:{lineno}: code {current_code} must be >= 1")
                     if current_code in profiles:
                         raise ParseError(f"{path}:{lineno}: repeated profile P {current_code}")
                 elif parts[0] == "A":
@@ -329,4 +280,6 @@ def load_profiles(path: str) -> ProfileSet:
     if lang is None:
         raise ParseError(f"{path}: missing PROFILESET header")
     flush()
+    if not profiles:
+        raise ParseError(f"{path}: no profile")
     return ProfileSet(lang=lang, profiles=profiles, n_docs=n_docs)

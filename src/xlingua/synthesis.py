@@ -62,9 +62,6 @@ class ParallelCorpus:
     def sources(self) -> list[RawDocument]:
         return [s for s, _ in self.pairs]
 
-    def targets(self) -> list[RawDocument]:
-        return [t for _, t in self.pairs]
-
     def __len__(self) -> int:
         return len(self.pairs)
 

@@ -41,12 +41,12 @@ def test_scores_positive_bounded_and_ranked():
 
 def test_unmatched_document_gets_empty_vector():
     vec = assign(doc(zebra=4), make_profiles())
-    assert len(vec) == 0
+    assert vec.entries == {}
 
 
 def test_empty_document_gets_empty_vector():
     vec = assign(doc(), make_profiles())
-    assert len(vec) == 0
+    assert vec.entries == {}
 
 
 def test_language_mismatch_rejected():

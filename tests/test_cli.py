@@ -122,6 +122,29 @@ def test_find_translations_reports_decision(workspace, capsys):
     assert fields[1] == "te0001-es" or fields[1] == "-"
 
 
+@pytest.mark.parametrize("command", ["similar", "find-translations"])
+def test_search_without_length_model_notes_that_the_length_factor_is_off(
+    workspace, capsys, command
+):
+    corpus = workspace / "corpus"
+    argv = [
+        command,
+        "--profiles-src", str(workspace / "en.prof"),
+        "--profiles-tgt", str(workspace / "es.prof"),
+        "--query", "te0000-en",
+        "--candidates", str(corpus / "test_manifest.tsv"),
+        "--resources", str(corpus / "resources"),
+    ]
+    runs = {}
+    for flags in ([], ["--no-lf"], ["--length-model", str(workspace / "model.lm")]):
+        assert main(argv + flags) == 0
+        runs[tuple(flags[:1])] = capsys.readouterr()
+    assert runs[()].err == "note: no --length-model given, so the length factor is off\n"
+    # the note changes nothing else: the output is that of an explicit --no-lf
+    assert runs[()].out == runs[("--no-lf",)].out
+    assert runs[("--no-lf",)].err == runs[("--length-model",)].err == ""
+
+
 def test_find_translations_reports_zero_length_query_and_decides_the_rest(
     workspace, tmp_path, capsys
 ):

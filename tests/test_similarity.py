@@ -1,5 +1,6 @@
 import importlib
 import math
+import pkgutil
 import random
 import string
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xlingua
 from xlingua.assign import DescriptorVector
 from xlingua.errors import ConfigError, ParseError, ValidationError
 from xlingua.normalize import NormalizedDocument, RawDocument
@@ -425,7 +427,7 @@ def test_length_model_loader_rejects_non_finite_or_non_positive(tmp_path, mu, si
         LengthModel().set("en", "es", float(mu), float(sigma))
 
 
-def test_package_attribute_is_the_similarity_module():
-    import xlingua
-
-    assert xlingua.similarity is importlib.import_module("xlingua.similarity")
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(xlingua.__path__)))
+def test_package_attribute_is_the_submodule(name):
+    module = importlib.import_module(f"xlingua.{name}")
+    assert getattr(xlingua, name) is module
