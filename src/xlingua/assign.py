@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from xlingua.errors import ValidationError
-from xlingua.kernels import csr_cosine_scores
+from xlingua.kernels import csr_cosine_scores, ordered_sum
 from xlingua.normalize import NormalizedDocument
 from xlingua.profiles import ProfileSet
 
@@ -39,7 +39,7 @@ class DescriptorVector:
     @cached_property
     def _norm(self) -> float:
         # once per vector: every search takes the norm of every candidate
-        return math.sqrt(sum(s * s for s in self.entries.values()))
+        return math.sqrt(ordered_sum(s * s for s in self.entries.values()))
 
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,22 @@
-"""Numeric inner loops: batched G2 scoring and CSR cosine scoring, in numpy."""
+"""Numeric inner loops: batched G2 and CSR cosine scoring in numpy, and an ordered float sum."""
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+from typing import Iterable
+
 import numpy as np
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """The floats added one at a time from the left, starting at 0.0.
+
+    This is what ``sum`` computes on CPython up to 3.11; from 3.12 ``sum``
+    compensates for rounding, so its last bit can differ, and the scalar
+    cosine would no longer equal the engine's ordered ``cumsum``.
+    """
+    return reduce(operator.add, values, 0.0)
 
 
 def g2_batch(k11, k12, k21, k22) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from xlingua.errors import ParseError, ValidationError, open_text
-from xlingua.kernels import g2_batch
+from xlingua.kernels import g2_batch, ordered_sum
 from xlingua.normalize import NormalizedDocument
 from xlingua.thesaurus import Thesaurus
 
@@ -62,7 +62,7 @@ class AssociateProfile:
     @staticmethod
     def from_associates(descriptor, lang, associates) -> "AssociateProfile":
         associates = tuple((lemma, float(w)) for lemma, w in associates)
-        norm = math.sqrt(sum(w * w for _, w in associates))
+        norm = math.sqrt(ordered_sum(w * w for _, w in associates))
         return AssociateProfile(descriptor, lang, associates, norm)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from xlingua.assign import DescriptorVector
 from xlingua.errors import ConfigError, ParseError, ValidationError, open_text
+from xlingua.kernels import ordered_sum
 from xlingua.normalize import NormalizedDocument, RawDocument
 
 DEFAULT_SAME_LANGUAGE_BIAS = 0.83
@@ -112,7 +114,7 @@ def cosine(a: DescriptorVector, b: DescriptorVector) -> float:
         return 0.0
     # summation in sorted-key order keeps the result exactly symmetric
     common = sorted(a.entries.keys() & b.entries.keys())
-    dot = sum(a.entries[c] * b.entries[c] for c in common)
+    dot = ordered_sum(a.entries[c] * b.entries[c] for c in common)
     if dot == 0.0:
         return 0.0
     return min(dot / (a.norm() * b.norm()), 1.0)
@@ -152,6 +154,102 @@ def similarity(
     return raw, lf, final
 
 
+def _flat(records: Sequence[DocRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every entry of ``records`` as parallel arrays: code, weight, record index."""
+    arrays = [r.vector.arrays for r in records]
+    codes = np.concatenate([c for c, _ in arrays])
+    weights = np.concatenate([w for _, w in arrays])
+    rows = np.repeat(np.arange(len(records)), [len(c) for c, _ in arrays])
+    return codes, weights, rows
+
+
+class _CandidateStack:
+    """The dense weight rows of a candidate list, kept for the next search.
+
+    ``codes`` are sorted and distinct.  Row i of ``dense`` holds candidate
+    i's weights in the columns of its codes and 0.0 in every other column,
+    the last of which is 0.0 in every row.  Rows past the stacked ones are
+    all 0.0, and they grow by amortised doubling.  The candidates are held
+    by weak references, so the stack keeps none of them alive, and one
+    that is gone never matches a candidate again.
+    """
+
+    def __init__(self, codes: np.ndarray, dense: np.ndarray, candidates: Sequence[DocRecord]):
+        self.codes = codes
+        self.dense = dense
+        self.norm = np.array([c.vector.norm() for c in candidates])
+        self.refs = [weakref.ref(c) for c in candidates]
+
+    @staticmethod
+    def build(
+        queries: Sequence[DocRecord], candidates: Sequence[DocRecord]
+    ) -> tuple["_CandidateStack", np.ndarray]:
+        """A stack of ``candidates`` and the queries' rows, over the codes of both."""
+        codes, weights, rows = _flat([*queries, *candidates])
+        distinct, column = np.unique(codes, return_inverse=True)
+        n_q = len(queries)
+        split = int(np.searchsorted(rows, n_q))  # the queries' entries come first
+        q = np.zeros((n_q, len(distinct) + 1))
+        q[rows[:split], column[:split]] = weights[:split]
+        dense = np.zeros((len(candidates), len(distinct) + 1))
+        dense[rows[split:] - n_q, column[split:]] = weights[split:]
+        return _CandidateStack(distinct, dense, candidates), q
+
+    def _columns(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each code's column, and whether the stack has one for it."""
+        column = np.searchsorted(self.codes, codes)
+        known = column < len(self.codes)
+        known[known] = self.codes[column[known]] == codes[known]
+        return column, known
+
+    def extend(self, candidates: Sequence[DocRecord]) -> bool:
+        """Stack the candidates past the stacked ones.
+
+        False, with the stack unchanged, unless the stacked records are by
+        identity a prefix of ``candidates`` and every new code has a column.
+        """
+        n = len(self.refs)
+        if n > len(candidates) or not all(r() is c for r, c in zip(self.refs, candidates)):
+            return False
+        new = candidates[n:]
+        if not new:
+            return True
+        codes, weights, rows = _flat(new)
+        column, known = self._columns(codes)
+        if not known.all():
+            return False
+        m = n + len(new)
+        if m > len(self.dense):
+            dense = np.zeros((max(m, 2 * len(self.dense)), self.dense.shape[1]))
+            dense[:n] = self.dense[:n]
+            norm = np.empty(len(dense))
+            norm[:n] = self.norm[:n]
+            self.dense, self.norm = dense, norm
+        self.dense[n + rows, column] = weights
+        self.norm[n:m] = [c.vector.norm() for c in new]
+        self.refs += [weakref.ref(c) for c in new]
+        return True
+
+    def rows(self, queries: Sequence[DocRecord]) -> np.ndarray:
+        """The queries' dense rows over the stack's columns.
+
+        A code that no stacked candidate has goes to the trailing column,
+        which is 0.0 in every candidate row.
+        """
+        codes, weights, rows = _flat(queries)
+        column, known = self._columns(codes)
+        column[~known] = len(self.codes)
+        q = np.zeros((len(queries), self.dense.shape[1]))
+        q[rows, column] = weights
+        return q
+
+
+# The last search's candidate stack.  A call pops it and puts its own
+# back, so two concurrent calls never share one; pop and slice
+# assignment are each one atomic list operation.
+_last_stack: list[_CandidateStack] = []
+
+
 def _cosines(queries: Sequence[DocRecord], candidates: Sequence[DocRecord]) -> np.ndarray:
     """Q x C cosines over the union of codes, as ``cosine`` defines them.
 
@@ -161,33 +259,42 @@ def _cosines(queries: Sequence[DocRecord], candidates: Sequence[DocRecord]) -> n
     candidate sits in the matrix, so that identical candidates could score
     apart by rounding and exact ties would not be broken by id.
 
-    The dense rows are scattered from each vector's ``arrays``, which the
-    vector builds once and caches, so a search over a pool that grows by
-    appends converts only the records it has not seen before.  The rows
-    are the ones the ``entries`` dicts give: the scatter puts each weight
-    in its code's column whatever the entry order, and the sums run over
-    the columns, so every cosine stays bit-identical.
+    The candidates' dense rows are kept in a ``_CandidateStack`` for the
+    next call.  When the last call's candidates are, by identity, a prefix
+    of this call's, as in a search over a pool that grows by appends, only
+    the new candidates are stacked, and the queries are mapped onto the
+    stack's codes.  Otherwise, or when a new candidate has a code the
+    stack lacks, one ``np.unique`` over the codes of the queries and the
+    candidates builds a new stack.  Every row is scattered from the
+    vector's cached ``arrays``.  A reused stack's columns can differ from
+    the union of this call's codes in two ways, and neither changes a sum:
+    a code of earlier records only adds products 0.0 x 0.0, and a query
+    code that no candidate has, whose products were 0.0 anyway, is summed
+    in the trailing zero column instead.  Adding an exact zero leaves
+    every nonzero partial sum as it is, so every cosine is bit-identical.
     """
     n_q, n_c = len(queries), len(candidates)
-    records = [*queries, *candidates]
-    if not records:
-        return np.zeros((n_q, n_c))  # np.concatenate needs at least one array
-    arrays = [r.vector.arrays for r in records]
-    distinct, column = np.unique(np.concatenate([c for c, _ in arrays]), return_inverse=True)
-    # One trailing zero column keeps every row non-empty; adding 0.0 to a
-    # sum is exact.
-    dense = np.zeros((len(records), len(distinct) + 1))
-    row = np.repeat(np.arange(len(records)), [len(c) for c, _ in arrays])
-    dense[row, column] = np.concatenate([w for _, w in arrays])
-    norm = np.array([r.vector.norm() for r in records])
-    q, c = dense[:n_q], dense[n_q:]
+    if not n_q or not n_c:
+        return np.zeros((n_q, n_c))
+    try:
+        stack = _last_stack.pop()
+    except IndexError:
+        stack = None
+    if stack is not None and stack.extend(candidates):
+        q = stack.rows(queries)
+    else:
+        stack = None  # free the old rows before the new ones are built
+        stack, q = _CandidateStack.build(queries, candidates)
+    c = stack.dense[:n_c]
     dots = np.empty((n_q, n_c))
     step = max(1, _PRODUCT_BLOCK // max(1, c.size))
     for lo in range(0, n_q, step):
         products = q[lo : lo + step, None, :] * c[None, :, :]
         dots[lo : lo + step] = np.cumsum(products, axis=2, out=products)[:, :, -1]
+    norm = np.array([r.vector.norm() for r in queries])
     cos = np.zeros_like(dots)
-    np.divide(dots, np.outer(norm[:n_q], norm[n_q:]), out=cos, where=dots != 0.0)
+    np.divide(dots, np.outer(norm, stack.norm[:n_c]), out=cos, where=dots != 0.0)
+    _last_stack[:] = [stack]
     return np.minimum(cos, 1.0, out=cos)
 
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from xlingua.errors import ConfigError, ValidationError
+from xlingua.kernels import ordered_sum
 from xlingua.normalize import LanguageResources, RawDocument
 from xlingua.thesaurus import Descriptor, Thesaurus
 
@@ -218,7 +219,7 @@ _WEIGHT_ALPHA = 4.0  # flat-ish Dirichlet: no topic dominates a mixture
 
 def _mix_weights(n: int, rng: random.Random) -> tuple[float, ...]:
     raw = [rng.gammavariate(_WEIGHT_ALPHA, 1.0) for _ in range(n)]
-    total = sum(raw)
+    total = ordered_sum(raw)
     return tuple(w / total for w in raw)
 
 

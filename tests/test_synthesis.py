@@ -269,27 +269,27 @@ def _corpus_digest(corpus) -> str:
 # sha256 of every document (id, language, text, sorted labels; training
 # pairs, then test pairs), as the plain random.choices/randrange loop
 # generated them on CPython 3.11.  Generation must never change one byte.
-@pytest.mark.parametrize(
-    "kw, digest",
-    [
-        (dict(), "eb2bb0ac4048699edcc7ffc722a3ecde51fc4ce554dd413291fe4d9c955365b5"),
-        (
-            dict(n_descriptors=120, n_train_docs=1200, n_test_pairs=400, vocab_size_per_lang=4000),
-            "801300be72ab9cfa016d185e5d51bcfd8567547987b81621a31a39b572d75217",
+PINNED_CORPORA = [
+    (dict(), "eb2bb0ac4048699edcc7ffc722a3ecde51fc4ce554dd413291fe4d9c955365b5"),
+    (
+        dict(n_descriptors=120, n_train_docs=1200, n_test_pairs=400, vocab_size_per_lang=4000),
+        "801300be72ab9cfa016d185e5d51bcfd8567547987b81621a31a39b572d75217",
+    ),
+    (
+        dict(
+            n_descriptors=120,
+            n_train_docs=100,
+            n_test_pairs=1,
+            vocab_size_per_lang=4000,
+            rng_seed=1,
         ),
-        (
-            dict(
-                n_descriptors=120,
-                n_train_docs=100,
-                n_test_pairs=1,
-                vocab_size_per_lang=4000,
-                rng_seed=1,
-            ),
-            "c84dd9dab9fd7b59d7b85dda1f216f313ae080d3f3af1c9010e86e7f90ebff1b",
-        ),
-    ],
-    ids=["default", "x4", "perfbench-dedupe"],
-)
+        "c84dd9dab9fd7b59d7b85dda1f216f313ae080d3f3af1c9010e86e7f90ebff1b",
+    ),
+]
+PINNED_IDS = ["default", "x4", "perfbench-dedupe"]
+
+
+@pytest.mark.parametrize("kw, digest", PINNED_CORPORA, ids=PINNED_IDS)
 def test_corpus_bytes_are_pinned(kw, digest):
     assert _corpus_digest(generate_synthetic(SyntheticSpec(**kw))) == digest
 
