@@ -155,7 +155,14 @@ def similarity(
 
 
 def _flat(records: Sequence[DocRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every entry of ``records`` as parallel arrays: code, weight, record index."""
+    """Every entry of ``records`` as parallel arrays: code, weight, record index.
+
+    The arrays of one record are its vector's cached ``arrays``, which no
+    caller writes to.
+    """
+    if len(records) == 1:
+        codes, weights = records[0].vector.arrays
+        return codes, weights, np.zeros(len(codes), dtype=np.intp)
     arrays = [r.vector.arrays for r in records]
     codes = np.concatenate([c for c, _ in arrays])
     weights = np.concatenate([w for _, w in arrays])
@@ -163,22 +170,48 @@ def _flat(records: Sequence[DocRecord]) -> tuple[np.ndarray, np.ndarray, np.ndar
     return codes, weights, rows
 
 
+def _resized(a: np.ndarray, n: int, rows: int) -> np.ndarray:
+    """``a`` with room for ``rows`` rows, its first ``n`` kept and the rest 0."""
+    out = np.zeros((rows, *a.shape[1:]), dtype=a.dtype)
+    out[:n] = a[:n]
+    return out
+
+
 class _CandidateStack:
-    """The dense weight rows of a candidate list, kept for the next search.
+    """The search index of a candidate list, kept for the next search.
 
     ``codes`` are sorted and distinct.  Row i of ``dense`` holds candidate
     i's weights in the columns of its codes and 0.0 in every other column,
-    the last of which is 0.0 in every row.  Rows past the stacked ones are
-    all 0.0, and they grow by amortised doubling.  The candidates are held
-    by weak references, so the stack keeps none of them alive, and one
-    that is gone never matches a candidate again.
+    the last of which is 0.0 in every row.  Beside the rows it keeps, per
+    candidate, the columns a search reads instead of the records: ``norm``,
+    ``length`` (the char length), ``lang`` (an index into ``langs``, which
+    numbers the stacked languages), ``addresses`` (each record's ``id()``)
+    and ``rows_of``, each candidate id's rows.  Rows past the stacked ones
+    are all 0.0, and they grow by amortised doubling; every column is
+    appended with its row.
+
+    The candidates are held by weak references, so the stack keeps none of
+    them alive.  Each reference's callback appends it to ``dead``, a list
+    the stack owns and the callback holds, so no cycle keeps a replaced
+    stack alive.  A stack with a dead record is never extended again.  So
+    while ``dead`` is empty every stacked record is alive, and as no two
+    live objects share an ``id()``, a candidate with a stacked record's
+    ``id()`` is that record: comparing the addresses is the identity check.
+    A record's callback runs before its memory is freed, so a new object
+    at a dead record's address always meets a non-empty ``dead``.
     """
 
-    def __init__(self, codes: np.ndarray, dense: np.ndarray, candidates: Sequence[DocRecord]):
+    def __init__(self, codes: np.ndarray, dense: np.ndarray):
         self.codes = codes
         self.dense = dense
-        self.norm = np.array([c.vector.norm() for c in candidates])
-        self.refs = [weakref.ref(c) for c in candidates]
+        self.norm = np.zeros(len(dense))
+        self.length = np.zeros(len(dense))
+        self.lang = np.zeros(len(dense), dtype=np.intp)
+        self.langs: dict[str, int] = {}
+        self.rows_of: dict[str, list[int]] = {}
+        self.addresses: list[int] = []
+        self.refs: list[weakref.ref] = []
+        self.dead: list[weakref.ref] = []
 
     @staticmethod
     def build(
@@ -193,14 +226,37 @@ class _CandidateStack:
         q[rows[:split], column[:split]] = weights[:split]
         dense = np.zeros((len(candidates), len(distinct) + 1))
         dense[rows[split:] - n_q, column[split:]] = weights[split:]
-        return _CandidateStack(distinct, dense, candidates), q
+        stack = _CandidateStack(distinct, dense)
+        stack._append(candidates, list(map(id, candidates)))
+        return stack, q
+
+    def _append(self, records: Sequence[DocRecord], addresses: list[int]) -> None:
+        """Every column but ``dense`` for ``records``, past the stacked ones."""
+        n = len(self.addresses)
+        m = n + len(records)
+        if m > len(self.dense):
+            rows = max(m, 2 * len(self.dense))
+            self.dense = _resized(self.dense, n, rows)
+            self.norm = _resized(self.norm, n, rows)
+            self.length = _resized(self.length, n, rows)
+            self.lang = _resized(self.lang, n, rows)
+        self.norm[n:m] = [r.vector.norm() for r in records]
+        self.length[n:m] = [r.char_length for r in records]
+        langs = self.langs
+        self.lang[n:m] = [langs.setdefault(r.lang, len(langs)) for r in records]
+        for j, r in enumerate(records, n):
+            self.rows_of.setdefault(r.id, []).append(j)
+        died = self.dead.append
+        self.refs += [weakref.ref(r, died) for r in records]
+        self.addresses += addresses
 
     def _columns(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each code's column, and whether the stack has one for it."""
-        column = np.searchsorted(self.codes, codes)
-        known = column < len(self.codes)
-        known[known] = self.codes[column[known]] == codes[known]
-        return column, known
+        column = self.codes.searchsorted(codes)
+        if not len(self.codes):
+            return column, np.zeros(len(codes), dtype=bool)
+        # a code past the last one gets column len(self.codes); clipped, it reads a smaller code
+        return column, self.codes.take(column, mode="clip") == codes
 
     def extend(self, candidates: Sequence[DocRecord]) -> bool:
         """Stack the candidates past the stacked ones.
@@ -208,8 +264,9 @@ class _CandidateStack:
         False, with the stack unchanged, unless the stacked records are by
         identity a prefix of ``candidates`` and every new code has a column.
         """
-        n = len(self.refs)
-        if n > len(candidates) or not all(r() is c for r, c in zip(self.refs, candidates)):
+        n = len(self.addresses)
+        addresses = list(map(id, candidates))
+        if self.dead or addresses[:n] != self.addresses:
             return False
         new = candidates[n:]
         if not new:
@@ -218,16 +275,8 @@ class _CandidateStack:
         column, known = self._columns(codes)
         if not known.all():
             return False
-        m = n + len(new)
-        if m > len(self.dense):
-            dense = np.zeros((max(m, 2 * len(self.dense)), self.dense.shape[1]))
-            dense[:n] = self.dense[:n]
-            norm = np.empty(len(dense))
-            norm[:n] = self.norm[:n]
-            self.dense, self.norm = dense, norm
+        self._append(new, addresses[n:])
         self.dense[n + rows, column] = weights
-        self.norm[n:m] = [c.vector.norm() for c in new]
-        self.refs += [weakref.ref(c) for c in new]
         return True
 
     def rows(self, queries: Sequence[DocRecord]) -> np.ndarray:
@@ -250,6 +299,24 @@ class _CandidateStack:
 _last_stack: list[_CandidateStack] = []
 
 
+def _take_stack(
+    queries: Sequence[DocRecord], candidates: Sequence[DocRecord]
+) -> tuple[_CandidateStack, Optional[np.ndarray]]:
+    """The kept stack extended to exactly ``candidates``, or a new stack of them.
+
+    A new stack comes with the queries' rows, the kept one with None.  The
+    stack is the caller's alone until it puts it back in ``_last_stack``.
+    """
+    try:
+        stack = _last_stack.pop()
+    except IndexError:
+        stack = None
+    if stack is not None and stack.extend(candidates):
+        return stack, None
+    stack = None  # free the old rows before the new ones are built
+    return _CandidateStack.build(queries, candidates)
+
+
 def _cosines(queries: Sequence[DocRecord], candidates: Sequence[DocRecord]) -> np.ndarray:
     """Q x C cosines over the union of codes, as ``cosine`` defines them.
 
@@ -260,31 +327,27 @@ def _cosines(queries: Sequence[DocRecord], candidates: Sequence[DocRecord]) -> n
     apart by rounding and exact ties would not be broken by id.
 
     The candidates' dense rows are kept in a ``_CandidateStack`` for the
-    next call.  When the last call's candidates are, by identity, a prefix
-    of this call's, as in a search over a pool that grows by appends, only
-    the new candidates are stacked, and the queries are mapped onto the
-    stack's codes.  Otherwise, or when a new candidate has a code the
-    stack lacks, one ``np.unique`` over the codes of the queries and the
-    candidates builds a new stack.  Every row is scattered from the
-    vector's cached ``arrays``.  A reused stack's columns can differ from
-    the union of this call's codes in two ways, and neither changes a sum:
-    a code of earlier records only adds products 0.0 x 0.0, and a query
-    code that no candidate has, whose products were 0.0 anyway, is summed
-    in the trailing zero column instead.  Adding an exact zero leaves
-    every nonzero partial sum as it is, so every cosine is bit-identical.
+    next call, with the columns ``score_matrix`` reads once this call has
+    put the stack back.  When the last call's candidates are, by
+    identity, a prefix of this call's, as in a search over a pool that
+    grows by appends, only the new candidates are stacked, and the
+    queries are mapped onto the stack's codes.  Otherwise, or when a new
+    candidate has a code the stack lacks, one ``np.unique`` over the codes
+    of the queries and the candidates builds a new stack.  Every row is
+    scattered from the vector's cached ``arrays``.  A reused stack's
+    columns can differ from the union of this call's codes in two ways,
+    and neither changes a sum: a code of earlier records only adds
+    products 0.0 x 0.0, and a query code that no candidate has, whose
+    products were 0.0 anyway, is summed in the trailing zero column
+    instead.  Adding an exact zero leaves every nonzero partial sum as it
+    is, so every cosine is bit-identical.
     """
     n_q, n_c = len(queries), len(candidates)
     if not n_q or not n_c:
         return np.zeros((n_q, n_c))
-    try:
-        stack = _last_stack.pop()
-    except IndexError:
-        stack = None
-    if stack is not None and stack.extend(candidates):
+    stack, q = _take_stack(queries, candidates)
+    if q is None:
         q = stack.rows(queries)
-    else:
-        stack = None  # free the old rows before the new ones are built
-        stack, q = _CandidateStack.build(queries, candidates)
     c = stack.dense[:n_c]
     dots = np.empty((n_q, n_c))
     step = max(1, _PRODUCT_BLOCK // max(1, c.size))
@@ -292,35 +355,32 @@ def _cosines(queries: Sequence[DocRecord], candidates: Sequence[DocRecord]) -> n
         products = q[lo : lo + step, None, :] * c[None, :, :]
         dots[lo : lo + step] = np.cumsum(products, axis=2, out=products)[:, :, -1]
     norm = np.array([r.vector.norm() for r in queries])
-    cos = np.zeros_like(dots)
-    np.divide(dots, np.outer(norm, stack.norm[:n_c]), out=cos, where=dots != 0.0)
+    cos = np.zeros(dots.shape)
+    np.divide(dots, norm[:, None] * stack.norm[None, :n_c], out=cos, where=dots != 0.0)
     _last_stack[:] = [stack]
     return np.minimum(cos, 1.0, out=cos)
 
 
 def _length_factors(
     queries: Sequence[DocRecord],
-    candidates: Sequence[DocRecord],
+    stack: _CandidateStack,
+    n_c: int,
     model: LengthModel,
     langs: list[str],
     q_lang: np.ndarray,
-    c_lang: np.ndarray,
 ) -> np.ndarray:
     """Q x C Gaussian length factors, (mu, sigma) per language pair.
 
-    ``q_lang``/``c_lang`` index each record's language in ``langs``.
+    The candidates are the stack's ``n_c`` rows.  ``q_lang`` indexes each
+    query's language in ``langs``, which begins with the stack's languages.
     """
-    for q in queries:
-        if q.char_length <= 0:
-            raise ValidationError(f"query {q.id}: source length must be positive")
-    mu = np.ones((len(langs), len(langs)))
-    sigma = np.ones((len(langs), len(langs)))
+    mu, sigma = np.ones((2, len(langs), len(langs)))
     for qi in set(q_lang.tolist()):
-        for ci in set(c_lang.tolist()):
+        for ci in stack.langs.values():
             mu[qi, ci], sigma[qi, ci] = model.get(langs[qi], langs[ci])
-    pair = (q_lang[:, None], c_lang[None, :])
+    pair = (q_lang[:, None], stack.lang[None, :n_c])
     ratio = (
-        np.array([c.char_length for c in candidates], dtype=np.float64)[None, :]
+        stack.length[None, :n_c]
         / np.array([q.char_length for q in queries], dtype=np.float64)[:, None]
     )
     z = (ratio - mu[pair]) / sigma[pair]
@@ -341,26 +401,40 @@ def score_matrix(
     query's language.  A candidate carrying the query's own id scores
     -inf in ``final``.  ``lf_only`` is the length-factor-only ablation:
     the cosine is not computed and counts as 1.
+
+    The candidates' languages, lengths and ids are read from the columns
+    of the kept ``_CandidateStack``, not from the records.  ``_cosines``
+    leaves the stack extended to exactly these candidates, so taking it
+    back here only checks that it is theirs.
     """
     shape = (len(queries), len(candidates))
-    index: dict[str, int] = {}
-    q_lang = np.array([index.setdefault(q.lang, len(index)) for q in queries], dtype=np.intp)
-    c_lang = np.array([index.setdefault(c.lang, len(index)) for c in candidates], dtype=np.intp)
-    raw = np.ones(shape) if lf_only else _cosines(queries, candidates)
     if opts.use_length_factor:
         if model is None:
             raise ConfigError("length factor enabled but no length model given")
-        lf = _length_factors(queries, candidates, model, list(index), q_lang, c_lang)
-    else:
+        for q in queries:
+            if q.char_length <= 0:
+                raise ValidationError(f"query {q.id}: source length must be positive")
+    raw = np.ones(shape) if lf_only else _cosines(queries, candidates)
+    if not queries or not candidates:
         lf = np.ones(shape)
+        return raw, lf, raw * lf
+    stack, _ = _take_stack(queries, candidates)
+    try:
+        index = dict(stack.langs)
+        q_lang = np.array([index.setdefault(q.lang, len(index)) for q in queries], dtype=np.intp)
+        if opts.use_length_factor:
+            lf = _length_factors(queries, stack, shape[1], model, list(index), q_lang)
+        else:
+            lf = np.ones(shape)
+        same = q_lang[:, None] == stack.lang[None, : shape[1]]
+        # copies: once the stack is back, another search may append to its lists
+        own = [(i, list(stack.rows_of[q.id])) for i, q in enumerate(queries) if q.id in stack.rows_of]
+    finally:
+        _last_stack[:] = [stack]
     final = raw * lf
-    final[q_lang[:, None] == c_lang[None, :]] *= opts.same_language_bias
-    position: dict[str, list[int]] = {}
-    for j, c in enumerate(candidates):
-        position.setdefault(c.id, []).append(j)
-    for i, q in enumerate(queries):
-        if q.id in position:
-            final[i, position[q.id]] = -np.inf
+    final[same] *= opts.same_language_bias
+    for i, rows in own:
+        final[i, rows] = -np.inf
     return raw, lf, final
 
 
@@ -411,14 +485,25 @@ def detect_translations(
 
     Queries are scored in blocks of rows, so that each Q x C array holds
     at most about ``_SCORE_BLOCK`` scores whatever the number of queries.
+    Rank 1 is ``_ranked``'s: ``argmax`` finds a row's best score, and only
+    an exact tie for it looks the ids up, where the smallest id wins.
     """
-    found = []
+    found: list[Optional[RankedMatch]] = []
     step = max(1, _SCORE_BLOCK // max(1, len(candidates)))
     for lo in range(0, len(queries), step):
         raw, lf, final = score_matrix(queries[lo : lo + step], candidates, opts, model)
-        for i in range(len(raw)):
-            best = _ranked(candidates, raw[i], lf[i], final[i], 1)[0]
-            found.append(best if best.final_score >= opts.threshold else None)
+        if not len(candidates):
+            raise ValidationError("empty candidate set")
+        for i, row in enumerate(final):
+            j = int(row.argmax())
+            score = float(row[j])
+            if score == -math.inf:
+                raise ValidationError("empty candidate set")
+            if np.count_nonzero(row == score) > 1:
+                j = min(np.flatnonzero(row == score).tolist(), key=lambda k: candidates[k].id)
+            c = candidates[j]
+            match = RankedMatch(c.id, c.lang, float(raw[i, j]), float(lf[i, j]), score, 1)
+            found.append(match if score >= opts.threshold else None)
     return found
 
 

@@ -1,11 +1,12 @@
 """The candidate stack that ``_cosines`` keeps from one search to the next.
 
 A search whose candidates extend the last search's candidates, by
-identity, appends only the new ones to the kept dense rows and maps the
-queries onto the kept codes; any other search builds a new stack.  Either
-way every score must equal, bit for bit, the scores of uncached copies and
-the scalar ``similarity``.  The stack holds its records weakly, so it keeps
-no searched pool alive.
+identity, appends only the new ones to the kept dense rows and columns and
+maps the queries onto the kept codes; any other search builds a new stack.
+Either way every score must equal, bit for bit, the scores of uncached
+copies and the scalar ``similarity``.  The stack holds its records weakly,
+so it keeps no searched pool alive, and a record that dies marks it stale,
+so a new object at the dead record's address is not taken for it.
 """
 
 import gc
@@ -14,11 +15,13 @@ import threading
 import weakref
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlingua import similarity
 from xlingua.assign import DescriptorVector
+from xlingua.errors import ValidationError
 from xlingua.similarity import (
     DocRecord,
     LengthModel,
@@ -179,3 +182,102 @@ def test_concurrent_searches_of_growing_pools_score_like_one_at_a_time():
     assert not any(th.is_alive() for th in threads)
     for g, w in zip(got, want):
         assert len(g) == len(w) and all(np.array_equal(x, y) for x, y in zip(g, w))
+
+
+def test_a_new_record_at_a_dead_records_address_is_not_taken_for_it():
+    opts = SimilarityOptions(use_length_factor=True)
+    model = LengthModel()
+    model.set("en", "es", 1.1, 0.3)
+    q = DocRecord(DescriptorVector("q", "en", {1: 1.0, 2: 0.5, 3: 0.25}), 100)
+    pool = [DocRecord(DescriptorVector(f"c{i}", "es", {i: 1.0, 3: 0.5}), 90 + i) for i in range(3)]
+    score_matrix([q], pool, opts, model)
+    stack = similarity._last_stack[0]
+    vector = DescriptorVector("new", "es", {2: 3.0})  # made before the slot is freed
+    dead = id(pool[-1])
+    del pool[-1]  # the stack's record dies; its address is free
+    held = []  # keep every miss alive, so that each try gets a new address
+    for _ in range(100_000):
+        record = DocRecord(vector, 40)
+        if id(record) == dead:
+            break
+        held.append(record)
+    assert id(record) == dead, "no record was allocated at the dead record's address"
+    assert stack.addresses[: len(pool) + 1] == list(map(id, [*pool, record]))
+    got = score_matrix([q], [*pool, record], opts, model)
+    assert similarity._last_stack[0] is not stack
+    for g, w in zip(got, uncached_scores([q], [*pool, record], opts, model)):
+        assert np.array_equal(g, w)
+    assert got[0][0].tolist() == [similarity.similarity(q, c, opts, model)[0] for c in [*pool, record]]
+
+
+def test_appends_with_an_unseen_language_or_a_repeated_id_score_like_fresh_copies():
+    opts = SimilarityOptions(use_length_factor=True, same_language_bias=0.83)
+    model = LengthModel()
+    for src, tgt, mu in (("en", "es", 1.1), ("es", "en", 0.9), ("en", "fr", 1.2), ("es", "fr", 1.05)):
+        model.set(src, tgt, mu, 0.2)
+    queries = [
+        DocRecord(DescriptorVector("q", "en", {1: 1.0, 2: 0.5}), 100),
+        DocRecord(DescriptorVector("p", "es", {2: 1.0, 3: 0.5}), 80),
+    ]
+    pool = [
+        DocRecord(DescriptorVector("a", "es", {1: 1.0, 3: 0.5}), 110),
+        DocRecord(DescriptorVector("b", "en", {2: 1.0}), 95),
+        DocRecord(DescriptorVector("q", "es", {1: 0.5, 2: 0.5}), 105),
+    ]
+    score_matrix(queries, pool, opts, model)
+    first = similarity._last_stack[0]
+    for arrival in (
+        DocRecord(DescriptorVector("fr1", "fr", {1: 0.25, 3: 1.0}), 120),  # a new language
+        DocRecord(DescriptorVector("a", "fr", {2: 2.0}), 90),  # a repeated id
+        DocRecord(DescriptorVector("q", "en", {3: 1.0}), 100),  # the query's id, again
+    ):
+        pool.append(arrival)
+        got = score_matrix(queries, pool, opts, model)
+        assert similarity._last_stack[0] is first  # appended, not rebuilt
+        for g, w in zip(got, uncached_scores(queries, pool, opts, model)):
+            assert np.array_equal(g, w)
+        final = got[2]
+        for i, q in enumerate(queries):
+            for j, c in enumerate(pool):
+                if c.id == q.id:
+                    assert final[i, j] == -np.inf
+                else:
+                    assert np.isclose(final[i, j], similarity.similarity(q, c, opts, model)[2])
+    assert set(first.langs) == {"es", "en", "fr"}
+    assert first.rows_of["q"] == [2, 5] and first.rows_of["a"] == [0, 4]
+
+
+def test_a_zero_length_query_is_refused_even_without_candidates():
+    opts = SimilarityOptions(use_length_factor=True)
+    q = DocRecord(DescriptorVector("q", "en", {}), 0)
+    for search in (score_matrix, similarity.detect_translations):
+        with pytest.raises(ValidationError, match="source length must be positive"):
+            search([q], [], opts, LengthModel())
+
+
+def test_a_growing_pool_builds_one_stack_for_thirty_searches(monkeypatch):
+    build = similarity._CandidateStack.build
+    calls = []
+
+    def counted(queries, candidates):
+        calls.append(len(candidates))
+        return build(queries, candidates)
+
+    monkeypatch.setattr(similarity._CandidateStack, "build", staticmethod(counted))
+    opts = SimilarityOptions(use_length_factor=True)
+    model = LengthModel()
+    model.set("en", "es", 1.1, 0.3)
+    model.set("es", "en", 0.9, 0.3)
+
+    def record(i):
+        lang = ("en", "es")[i % 2]
+        entries = {1 + i % 7: 1.0, 1 + (3 * i) % 7: 0.5, 1 + (5 * i) % 7: 0.25}
+        return DocRecord(DescriptorVector(f"d{i}", lang, entries), 80 + 7 * (i % 5))
+
+    pool = [record(i) for i in range(7)]  # every code 1..7
+    similarity._last_stack.clear()
+    for i in range(7, 37):
+        arrival = record(i)
+        similarity.detect_translation(arrival, pool, opts, model)
+        pool.append(arrival)
+    assert calls == [7]

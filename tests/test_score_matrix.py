@@ -218,3 +218,32 @@ def test_zero_length_query_is_refused_only_with_the_length_factor():
         score_matrix([q], [c], SimilarityOptions(), model)
     raw, lf, final = score_matrix([q], [c], SimilarityOptions(use_length_factor=False))
     assert (raw[0, 0], lf[0, 0], final[0, 0]) == (0.0, 1.0, 0.0)
+
+
+@given(cases(), st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+@settings(max_examples=200, deadline=None)
+def test_detect_translation_picks_the_rank_1_of_find_most_similar(case, threshold):
+    queries, candidates, opts, model, _ = case
+    opts = replace(opts, threshold=threshold)
+    for q in queries:
+        try:
+            top = find_most_similar(q, candidates, replace(opts, top_k=1), model)[0]
+        except ValidationError as exc:  # the query is its only candidate
+            with pytest.raises(ValidationError, match=str(exc)):
+                detect_translation(q, candidates, opts, model)
+            continue
+        want = top if top.final_score >= threshold else None
+        assert detect_translation(q, candidates, opts, model) == want
+
+
+def test_detect_translation_breaks_an_exact_tie_by_the_smallest_id():
+    q = DocRecord(DescriptorVector("q", "en", {1: 0.5, 2: 0.5}), 100)
+    twin = DescriptorVector("t", "es", {1: 1.0, 2: 1.0})
+    weaker = DocRecord(DescriptorVector("a", "es", {1: 1.0}), 100)
+    candidates = [weaker, *(DocRecord(replace(twin, doc_id=i), 100) for i in ("c9", "c2", "c5"))]
+    opts = SimilarityOptions(use_length_factor=False, threshold=0.0)
+    match = detect_translation(q, candidates, opts)
+    assert match.candidate_id == "c2"
+    assert match == find_most_similar(q, candidates, replace(opts, top_k=1))[0]
+    with pytest.raises(ValidationError, match="empty candidate set"):
+        detect_translation(q, [q], opts)
