@@ -19,8 +19,8 @@ keys, and the string ``shingles`` with ``jaccard`` are its reference.
 from __future__ import annotations
 
 import math
+import operator
 import statistics
-import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -49,6 +49,11 @@ class LengthModel:
     pairs: dict[tuple[str, str], tuple[float, float]] = field(default_factory=dict)
     same_lang_sigma: float = 0.2
 
+    def __post_init__(self) -> None:
+        _checked(1.0, self.same_lang_sigma)
+        for mu, sigma in self.pairs.values():
+            _checked(mu, sigma)
+
     def get(self, src_lang: str, tgt_lang: str) -> tuple[float, float]:
         key = (src_lang, tgt_lang)
         if key in self.pairs:
@@ -58,12 +63,17 @@ class LengthModel:
         raise ConfigError(f"no length model entry for pair {src_lang!r} -> {tgt_lang!r}")
 
     def set(self, src_lang: str, tgt_lang: str, mu: float, sigma: float) -> None:
-        # nan fails every comparison, so test for the legal range, not against it
-        if not (0 < mu < math.inf and 0 < sigma < math.inf):
-            raise ValidationError(
-                f"length model mu and sigma must be finite and positive, got {mu} and {sigma}"
-            )
-        self.pairs[(src_lang, tgt_lang)] = (mu, sigma)
+        self.pairs[(src_lang, tgt_lang)] = _checked(mu, sigma)
+
+
+def _checked(mu: float, sigma: float) -> tuple[float, float]:
+    """A length-ratio mean and stddev, refused unless both are finite and positive."""
+    # nan fails every comparison, so test for the legal range, not against it
+    if not (0 < mu < math.inf and 0 < sigma < math.inf):
+        raise ValidationError(
+            f"length model mu and sigma must be finite and positive, got {mu} and {sigma}"
+        )
+    return mu, sigma
 
 
 @dataclass(frozen=True)
@@ -180,75 +190,28 @@ def _resized(a: np.ndarray, n: int, rows: int) -> np.ndarray:
 class _CandidateStack:
     """The search index of a candidate list, kept for the next search.
 
-    ``codes`` are sorted and distinct.  Row i of ``dense`` holds candidate
-    i's weights in the columns of its codes and 0.0 in every other column,
-    the last of which is 0.0 in every row.  Beside the rows it keeps, per
-    candidate, the columns a search reads instead of the records: ``norm``,
+    ``codes`` are sorted and distinct: the codes of the first candidates
+    appended to it.  Row i of ``dense`` holds candidate i's weights in
+    the columns of its codes and 0.0 in every other column, the last of
+    which is 0.0 in every row.  Beside the rows it keeps, per candidate,
+    the columns a search reads instead of the records: ``norm``,
     ``length`` (the char length), ``lang`` (an index into ``langs``, which
-    numbers the stacked languages), ``addresses`` (each record's ``id()``)
-    and ``rows_of``, each candidate id's rows.  Rows past the stacked ones
-    are all 0.0, and they grow by amortised doubling; every column is
-    appended with its row.
-
-    The candidates are held by weak references, so the stack keeps none of
-    them alive.  Each reference's callback appends it to ``dead``, a list
-    the stack owns and the callback holds, so no cycle keeps a replaced
-    stack alive.  A stack with a dead record is never extended again.  So
-    while ``dead`` is empty every stacked record is alive, and as no two
-    live objects share an ``id()``, a candidate with a stacked record's
-    ``id()`` is that record: comparing the addresses is the identity check.
-    A record's callback runs before its memory is freed, so a new object
-    at a dead record's address always meets a non-empty ``dead``.
+    numbers the stacked languages) and ``rows_of``, each candidate id's
+    rows.  ``records`` holds the stacked records themselves, so none of
+    them can die while stacked, and an identity test against it is exact.
+    Rows past the stacked ones are all 0.0, and they grow by amortised
+    doubling; every column is appended with its row.
     """
 
-    def __init__(self, codes: np.ndarray, dense: np.ndarray):
-        self.codes = codes
-        self.dense = dense
-        self.norm = np.zeros(len(dense))
-        self.length = np.zeros(len(dense))
-        self.lang = np.zeros(len(dense), dtype=np.intp)
+    def __init__(self) -> None:
+        self.codes = np.zeros(0, dtype=np.int64)
+        self.dense = np.zeros((0, 1))
+        self.norm = np.zeros(0)
+        self.length = np.zeros(0)
+        self.lang = np.zeros(0, dtype=np.intp)
         self.langs: dict[str, int] = {}
         self.rows_of: dict[str, list[int]] = {}
-        self.addresses: list[int] = []
-        self.refs: list[weakref.ref] = []
-        self.dead: list[weakref.ref] = []
-
-    @staticmethod
-    def build(
-        queries: Sequence[DocRecord], candidates: Sequence[DocRecord]
-    ) -> tuple["_CandidateStack", np.ndarray]:
-        """A stack of ``candidates`` and the queries' rows, over the codes of both."""
-        codes, weights, rows = _flat([*queries, *candidates])
-        distinct, column = np.unique(codes, return_inverse=True)
-        n_q = len(queries)
-        split = int(np.searchsorted(rows, n_q))  # the queries' entries come first
-        q = np.zeros((n_q, len(distinct) + 1))
-        q[rows[:split], column[:split]] = weights[:split]
-        dense = np.zeros((len(candidates), len(distinct) + 1))
-        dense[rows[split:] - n_q, column[split:]] = weights[split:]
-        stack = _CandidateStack(distinct, dense)
-        stack._append(candidates, list(map(id, candidates)))
-        return stack, q
-
-    def _append(self, records: Sequence[DocRecord], addresses: list[int]) -> None:
-        """Every column but ``dense`` for ``records``, past the stacked ones."""
-        n = len(self.addresses)
-        m = n + len(records)
-        if m > len(self.dense):
-            rows = max(m, 2 * len(self.dense))
-            self.dense = _resized(self.dense, n, rows)
-            self.norm = _resized(self.norm, n, rows)
-            self.length = _resized(self.length, n, rows)
-            self.lang = _resized(self.lang, n, rows)
-        self.norm[n:m] = [r.vector.norm() for r in records]
-        self.length[n:m] = [r.char_length for r in records]
-        langs = self.langs
-        self.lang[n:m] = [langs.setdefault(r.lang, len(langs)) for r in records]
-        for j, r in enumerate(records, n):
-            self.rows_of.setdefault(r.id, []).append(j)
-        died = self.dead.append
-        self.refs += [weakref.ref(r, died) for r in records]
-        self.addresses += addresses
+        self.records: list[DocRecord] = []
 
     def _columns(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each code's column, and whether the stack has one for it."""
@@ -258,25 +221,39 @@ class _CandidateStack:
         # a code past the last one gets column len(self.codes); clipped, it reads a smaller code
         return column, self.codes.take(column, mode="clip") == codes
 
-    def extend(self, candidates: Sequence[DocRecord]) -> bool:
-        """Stack the candidates past the stacked ones.
+    def append(self, records: Sequence[DocRecord]) -> bool:
+        """Stack ``records`` past the stacked ones.
 
-        False, with the stack unchanged, unless the stacked records are by
-        identity a prefix of ``candidates`` and every new code has a column.
+        The first records give the stack its columns, one per distinct
+        code.  Later, False, with the stack unchanged, if a record has a
+        code with no column.
         """
-        n = len(self.addresses)
-        addresses = list(map(id, candidates))
-        if self.dead or addresses[:n] != self.addresses:
-            return False
-        new = candidates[n:]
-        if not new:
+        if not records:
             return True
-        codes, weights, rows = _flat(new)
-        column, known = self._columns(codes)
-        if not known.all():
-            return False
-        self._append(new, addresses[n:])
+        codes, weights, rows = _flat(records)
+        if self.records:
+            column, known = self._columns(codes)
+            if not known.all():
+                return False
+        else:
+            self.codes, column = np.unique(codes, return_inverse=True)
+            self.dense = np.zeros((0, len(self.codes) + 1))
+        n = len(self.records)
+        m = n + len(records)
+        if m > len(self.dense):
+            size = max(m, 2 * len(self.dense))
+            self.dense = _resized(self.dense, n, size)
+            self.norm = _resized(self.norm, n, size)
+            self.length = _resized(self.length, n, size)
+            self.lang = _resized(self.lang, n, size)
         self.dense[n + rows, column] = weights
+        self.norm[n:m] = [r.vector.norm() for r in records]
+        self.length[n:m] = [r.char_length for r in records]
+        langs = self.langs
+        self.lang[n:m] = [langs.setdefault(r.lang, len(langs)) for r in records]
+        for j, r in enumerate(records, n):
+            self.rows_of.setdefault(r.id, []).append(j)
+        self.records += records
         return True
 
     def rows(self, queries: Sequence[DocRecord]) -> np.ndarray:
@@ -293,32 +270,34 @@ class _CandidateStack:
         return q
 
 
-# The last search's candidate stack.  A call pops it and puts its own
-# back, so two concurrent calls never share one; pop and slice
-# assignment are each one atomic list operation.
+# The last search's candidate stack, so at most one pool's records.  A
+# search pops it and puts its own back once it is done with it, so two
+# concurrent searches never share one; pop and slice assignment are each
+# one atomic list operation.
 _last_stack: list[_CandidateStack] = []
 
 
-def _take_stack(
-    queries: Sequence[DocRecord], candidates: Sequence[DocRecord]
-) -> tuple[_CandidateStack, Optional[np.ndarray]]:
+def _take_stack(candidates: Sequence[DocRecord]) -> _CandidateStack:
     """The kept stack extended to exactly ``candidates``, or a new stack of them.
 
-    A new stack comes with the queries' rows, the kept one with None.  The
-    stack is the caller's alone until it puts it back in ``_last_stack``.
+    The stack is the caller's alone until it puts it back in ``_last_stack``.
     """
     try:
         stack = _last_stack.pop()
     except IndexError:
         stack = None
-    if stack is not None and stack.extend(candidates):
-        return stack, None
-    stack = None  # free the old rows before the new ones are built
-    return _CandidateStack.build(queries, candidates)
+    if stack is not None:
+        n = len(stack.records)
+        stacked = n <= len(candidates) and all(map(operator.is_, stack.records, candidates))
+        if stacked and stack.append(candidates[n:]):
+            return stack
+    stack = _CandidateStack()  # frees the old rows before the new ones are built
+    stack.append(candidates)
+    return stack
 
 
-def _cosines(queries: Sequence[DocRecord], candidates: Sequence[DocRecord]) -> np.ndarray:
-    """Q x C cosines over the union of codes, as ``cosine`` defines them.
+def _cosines(queries: Sequence[DocRecord], stack: _CandidateStack) -> np.ndarray:
+    """Q x C cosines of the queries and the stacked candidates, as ``cosine`` defines them.
 
     Each dot product is summed one code at a time in ascending code order,
     the order ``cosine`` uses, and each norm is ``DescriptorVector.norm``.
@@ -326,54 +305,39 @@ def _cosines(queries: Sequence[DocRecord], candidates: Sequence[DocRecord]) -> n
     candidate sits in the matrix, so that identical candidates could score
     apart by rounding and exact ties would not be broken by id.
 
-    The candidates' dense rows are kept in a ``_CandidateStack`` for the
-    next call, with the columns ``score_matrix`` reads once this call has
-    put the stack back.  When the last call's candidates are, by
-    identity, a prefix of this call's, as in a search over a pool that
-    grows by appends, only the new candidates are stacked, and the
-    queries are mapped onto the stack's codes.  Otherwise, or when a new
-    candidate has a code the stack lacks, one ``np.unique`` over the codes
-    of the queries and the candidates builds a new stack.  Every row is
-    scattered from the vector's cached ``arrays``.  A reused stack's
-    columns can differ from the union of this call's codes in two ways,
-    and neither changes a sum: a code of earlier records only adds
-    products 0.0 x 0.0, and a query code that no candidate has, whose
-    products were 0.0 anyway, is summed in the trailing zero column
-    instead.  Adding an exact zero leaves every nonzero partial sum as it
-    is, so every cosine is bit-identical.
+    The queries are mapped onto the stack's columns, a query code that no
+    candidate has onto the trailing zero column.  ``cosine`` sums only the
+    codes a pair shares; every other column adds a product 0.0, and
+    adding an exact zero leaves every nonzero partial sum as it is, so
+    every cosine is bit-identical to ``cosine``'s.
     """
-    n_q, n_c = len(queries), len(candidates)
-    if not n_q or not n_c:
-        return np.zeros((n_q, n_c))
-    stack, q = _take_stack(queries, candidates)
-    if q is None:
-        q = stack.rows(queries)
+    n_c = len(stack.records)
+    q = stack.rows(queries)
     c = stack.dense[:n_c]
-    dots = np.empty((n_q, n_c))
+    dots = np.empty((len(queries), n_c))
     step = max(1, _PRODUCT_BLOCK // max(1, c.size))
-    for lo in range(0, n_q, step):
+    for lo in range(0, len(queries), step):
         products = q[lo : lo + step, None, :] * c[None, :, :]
         dots[lo : lo + step] = np.cumsum(products, axis=2, out=products)[:, :, -1]
     norm = np.array([r.vector.norm() for r in queries])
     cos = np.zeros(dots.shape)
     np.divide(dots, norm[:, None] * stack.norm[None, :n_c], out=cos, where=dots != 0.0)
-    _last_stack[:] = [stack]
     return np.minimum(cos, 1.0, out=cos)
 
 
 def _length_factors(
     queries: Sequence[DocRecord],
     stack: _CandidateStack,
-    n_c: int,
     model: LengthModel,
     langs: list[str],
     q_lang: np.ndarray,
 ) -> np.ndarray:
     """Q x C Gaussian length factors, (mu, sigma) per language pair.
 
-    The candidates are the stack's ``n_c`` rows.  ``q_lang`` indexes each
-    query's language in ``langs``, which begins with the stack's languages.
+    The candidates are the stacked ones.  ``q_lang`` indexes each query's
+    language in ``langs``, which begins with the stack's languages.
     """
+    n_c = len(stack.records)
     mu, sigma = np.ones((2, len(langs), len(langs)))
     for qi in set(q_lang.tolist()):
         for ci in stack.langs.values():
@@ -402,10 +366,10 @@ def score_matrix(
     -inf in ``final``.  ``lf_only`` is the length-factor-only ablation:
     the cosine is not computed and counts as 1.
 
-    The candidates' languages, lengths and ids are read from the columns
-    of the kept ``_CandidateStack``, not from the records.  ``_cosines``
-    leaves the stack extended to exactly these candidates, so taking it
-    back here only checks that it is theirs.
+    A search takes the candidates' ``_CandidateStack`` once, reads the
+    cosines and the candidates' languages, lengths and ids from it, not
+    from the records, and puts it back when it is done.  A search that
+    raises does not put it back, so the next one builds a new stack.
     """
     shape = (len(queries), len(candidates))
     if opts.use_length_factor:
@@ -414,27 +378,22 @@ def score_matrix(
         for q in queries:
             if q.char_length <= 0:
                 raise ValidationError(f"query {q.id}: source length must be positive")
-    raw = np.ones(shape) if lf_only else _cosines(queries, candidates)
     if not queries or not candidates:
+        return np.ones(shape), np.ones(shape), np.ones(shape)
+    stack = _take_stack(candidates)
+    raw = np.ones(shape) if lf_only else _cosines(queries, stack)
+    index = dict(stack.langs)
+    q_lang = np.array([index.setdefault(q.lang, len(index)) for q in queries], dtype=np.intp)
+    if opts.use_length_factor:
+        lf = _length_factors(queries, stack, model, list(index), q_lang)
+    else:
         lf = np.ones(shape)
-        return raw, lf, raw * lf
-    stack, _ = _take_stack(queries, candidates)
-    try:
-        index = dict(stack.langs)
-        q_lang = np.array([index.setdefault(q.lang, len(index)) for q in queries], dtype=np.intp)
-        if opts.use_length_factor:
-            lf = _length_factors(queries, stack, shape[1], model, list(index), q_lang)
-        else:
-            lf = np.ones(shape)
-        same = q_lang[:, None] == stack.lang[None, : shape[1]]
-        # copies: once the stack is back, another search may append to its lists
-        own = [(i, list(stack.rows_of[q.id])) for i, q in enumerate(queries) if q.id in stack.rows_of]
-    finally:
-        _last_stack[:] = [stack]
     final = raw * lf
-    final[same] *= opts.same_language_bias
-    for i, rows in own:
-        final[i, rows] = -np.inf
+    final[q_lang[:, None] == stack.lang[None, : shape[1]]] *= opts.same_language_bias
+    for i, q in enumerate(queries):
+        if q.id in stack.rows_of:
+            final[i, stack.rows_of[q.id]] = -np.inf
+    _last_stack[:] = [stack]
     return raw, lf, final
 
 

@@ -1,12 +1,12 @@
-"""The candidate stack that ``_cosines`` keeps from one search to the next.
+"""The candidate stack that ``score_matrix`` keeps from one search to the next.
 
 A search whose candidates extend the last search's candidates, by
 identity, appends only the new ones to the kept dense rows and columns and
 maps the queries onto the kept codes; any other search builds a new stack.
 Either way every score must equal, bit for bit, the scores of uncached
-copies and the scalar ``similarity``.  The stack holds its records weakly,
-so it keeps no searched pool alive, and a record that dies marks it stale,
-so a new object at the dead record's address is not taken for it.
+copies and the scalar ``similarity``.  The stack holds its records, but
+only those of the last searched pool, and a search that raises leaves no
+stack behind.
 """
 
 import gc
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from xlingua import similarity
 from xlingua.assign import DescriptorVector
-from xlingua.errors import ValidationError
+from xlingua.errors import ConfigError, ValidationError
 from xlingua.similarity import (
     DocRecord,
     LengthModel,
@@ -99,7 +99,7 @@ def uncached_scores(queries, candidates, opts, model):
 
 def extends(stack, candidates) -> bool:
     """Whether a search over ``candidates`` may append to ``stack``."""
-    stacked = [r() for r in stack.refs]
+    stacked = stack.records
     if len(stacked) > len(candidates) or any(s is not c for s, c in zip(stacked, candidates)):
         return False
     known = set(stack.codes.tolist())
@@ -131,8 +131,8 @@ def test_an_appended_code_the_stack_lacks_builds_a_new_stack():
     pool = [DocRecord(DescriptorVector("a", "es", {1: 1.0}), 100)]
     score_matrix([q], pool, opts)
     first = similarity._last_stack[0]
-    pool.append(DocRecord(DescriptorVector("b", "es", {10**12: 2.0}), 100))
-    score_matrix([q], pool, opts)  # 10**12 is a query code, so it has a column
+    pool.append(DocRecord(DescriptorVector("b", "es", {1: 2.0}), 100))
+    score_matrix([q], pool, opts)  # 1 is a pool code, so it has a column
     assert similarity._last_stack[0] is first
     pool.append(DocRecord(DescriptorVector("c", "es", {5: 1.0}), 100))
     raw = score_matrix([q], pool, opts)[0]
@@ -140,15 +140,19 @@ def test_an_appended_code_the_stack_lacks_builds_a_new_stack():
     assert raw[0].tolist() == [similarity.cosine(q.vector, c.vector) for c in pool]
 
 
-def test_a_searched_pool_is_not_kept_alive():
-    pool = [DocRecord(DescriptorVector(f"c{i}", "es", {i: 1.0, 7: 0.5}), 100) for i in range(5)]
+def test_the_stack_keeps_at_most_the_last_searched_pool():
+    opts = SimilarityOptions(use_length_factor=False)
     q = DocRecord(DescriptorVector("q", "en", {7: 1.0}), 100)
-    find_most_similar(q, pool, SimilarityOptions(use_length_factor=False))
-    assert similarity._last_stack  # the rows are kept ...
-    records = [weakref.ref(c) for c in pool]
-    del pool
+    a = [DocRecord(DescriptorVector(f"a{i}", "es", {i: 1.0, 7: 0.5}), 100) for i in range(5)]
+    b = [DocRecord(DescriptorVector(f"b{i}", "es", {i: 0.5, 8: 1.0}), 100) for i in range(5)]
+    find_most_similar(q, a, opts)
+    records = [weakref.ref(c) for c in a]
+    assert all(r() is not None for r in records)
+    find_most_similar(q, b, opts)  # an unrelated pool replaces A's stack
+    del a
     gc.collect()
-    assert all(r() is None for r in records)  # ... but not the records
+    assert all(r() is None for r in records)
+    assert list(map(id, similarity._last_stack[0].records)) == list(map(id, b))
 
 
 def test_concurrent_searches_of_growing_pools_score_like_one_at_a_time():
@@ -184,30 +188,26 @@ def test_concurrent_searches_of_growing_pools_score_like_one_at_a_time():
         assert len(g) == len(w) and all(np.array_equal(x, y) for x, y in zip(g, w))
 
 
-def test_a_new_record_at_a_dead_records_address_is_not_taken_for_it():
+def test_a_search_that_raises_leaves_the_next_search_right():
     opts = SimilarityOptions(use_length_factor=True)
-    model = LengthModel()
-    model.set("en", "es", 1.1, 0.3)
+    partial = LengthModel()
+    partial.set("en", "es", 1.1, 0.3)
     q = DocRecord(DescriptorVector("q", "en", {1: 1.0, 2: 0.5, 3: 0.25}), 100)
     pool = [DocRecord(DescriptorVector(f"c{i}", "es", {i: 1.0, 3: 0.5}), 90 + i) for i in range(3)]
-    score_matrix([q], pool, opts, model)
-    stack = similarity._last_stack[0]
-    vector = DescriptorVector("new", "es", {2: 3.0})  # made before the slot is freed
-    dead = id(pool[-1])
-    del pool[-1]  # the stack's record dies; its address is free
-    held = []  # keep every miss alive, so that each try gets a new address
-    for _ in range(100_000):
-        record = DocRecord(vector, 40)
-        if id(record) == dead:
-            break
-        held.append(record)
-    assert id(record) == dead, "no record was allocated at the dead record's address"
-    assert stack.addresses[: len(pool) + 1] == list(map(id, [*pool, record]))
-    got = score_matrix([q], [*pool, record], opts, model)
-    assert similarity._last_stack[0] is not stack
-    for g, w in zip(got, uncached_scores([q], [*pool, record], opts, model)):
+    score_matrix([q], pool, opts, partial)
+    pool.append(DocRecord(DescriptorVector("fr", "fr", {2: 3.0}), 40))
+    with pytest.raises(ConfigError, match="'en' -> 'fr'"):
+        score_matrix([q], pool, opts, partial)  # raises after taking and extending the stack
+    assert not similarity._last_stack
+    full = LengthModel()
+    full.set("en", "es", 1.1, 0.3)
+    full.set("en", "fr", 0.9, 0.2)
+    got = score_matrix([q], pool, opts, full)
+    for g, w in zip(got, uncached_scores([q], pool, opts, full)):
         assert np.array_equal(g, w)
-    assert got[0][0].tolist() == [similarity.similarity(q, c, opts, model)[0] for c in [*pool, record]]
+    want = [similarity.similarity(q, c, opts, full) for c in pool]
+    assert got[0][0].tolist() == [raw for raw, _, _ in want]
+    assert got[2][0].tolist() == [final for _, _, final in want]
 
 
 def test_appends_with_an_unseen_language_or_a_repeated_id_score_like_fresh_copies():
@@ -256,14 +256,14 @@ def test_a_zero_length_query_is_refused_even_without_candidates():
 
 
 def test_a_growing_pool_builds_one_stack_for_thirty_searches(monkeypatch):
-    build = similarity._CandidateStack.build
-    calls = []
+    init = similarity._CandidateStack.__init__
+    built = []
 
-    def counted(queries, candidates):
-        calls.append(len(candidates))
-        return build(queries, candidates)
+    def counted(stack):
+        built.append(stack)
+        init(stack)
 
-    monkeypatch.setattr(similarity._CandidateStack, "build", staticmethod(counted))
+    monkeypatch.setattr(similarity._CandidateStack, "__init__", counted)
     opts = SimilarityOptions(use_length_factor=True)
     model = LengthModel()
     model.set("en", "es", 1.1, 0.3)
@@ -280,4 +280,4 @@ def test_a_growing_pool_builds_one_stack_for_thirty_searches(monkeypatch):
         arrival = record(i)
         similarity.detect_translation(arrival, pool, opts, model)
         pool.append(arrival)
-    assert calls == [7]
+    assert built == similarity._last_stack and len(built[0].records) == 36

@@ -427,6 +427,22 @@ def test_length_model_loader_rejects_non_finite_or_non_positive(tmp_path, mu, si
         LengthModel().set("en", "es", float(mu), float(sigma))
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.2, math.nan])
+def test_length_model_constructor_rejects_what_set_rejects(bad):
+    # unchecked, sigma 0 scored an equal-length same-language pair nan, and
+    # find_most_similar then reported an empty candidate set
+    with pytest.raises(ValidationError, match="finite and positive"):
+        LengthModel(same_lang_sigma=bad)
+    for pair in ((1.1, bad), (bad, 0.05)):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            LengthModel(pairs={("en", "es"): (1.0, 0.1), ("es", "en"): pair})
+    q = DocRecord(DescriptorVector("q", "en", {1: 1.0}), 100)
+    c = DocRecord(DescriptorVector("c", "en", {1: 1.0}), 100)
+    opts = SimilarityOptions()
+    match = find_most_similar(q, [c], opts, LengthModel(same_lang_sigma=0.2))
+    assert [m.final_score for m in match] == [opts.same_language_bias]
+
+
 @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(xlingua.__path__)))
 def test_package_attribute_is_the_submodule(name):
     module = importlib.import_module(f"xlingua.{name}")
