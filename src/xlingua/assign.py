@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -16,18 +16,41 @@ from xlingua.profiles import ProfileSet
 DEFAULT_TOP_K = 100
 
 
-@dataclass(frozen=True)
 class DescriptorVector:
     """Sparse top-K descriptor representation of one document.
 
-    ``entries`` must not change once built: ``norm()`` and ``arrays`` are
-    computed from it once per vector and cached, so a changed dict
-    would be scored with its old norm and old weights.
+    The entries are held once, in the order given, as read-only int64
+    ``codes`` and float64 ``weights``, and the norm is taken at
+    construction.  No attribute can be set afterwards, so no score can
+    be computed from stale entries.
     """
 
-    doc_id: str
-    lang: str
-    entries: dict[int, float] = field(default_factory=dict)
+    __slots__ = ("doc_id", "lang", "codes", "weights", "_norm")
+
+    def __init__(self, doc_id: str, lang: str, entries: Mapping[int, float]) -> None:
+        n = len(entries)
+        codes = np.fromiter(entries, dtype=np.int64, count=n)
+        weights = np.fromiter(entries.values(), dtype=np.float64, count=n)
+        if not np.isfinite(weights).all():
+            raise ValidationError(f"document {doc_id}: descriptor weights must be finite")
+        codes.flags.writeable = weights.flags.writeable = False
+        # once per vector: every search takes the norm of every candidate
+        norm = math.sqrt(ordered_sum(w * w for w in weights.tolist()))
+        for name, value in zip(self.__slots__, (doc_id, lang, codes, weights, norm)):
+            object.__setattr__(self, name, value)
+
+    def _read_only(self, name: str, *_) -> None:
+        raise AttributeError(f"DescriptorVector is read-only: cannot change {name!r}")
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __repr__(self) -> str:
+        return f"DescriptorVector({self.doc_id!r}, {self.lang!r}, {dict(self.entries)!r})"
+
+    @property
+    def entries(self) -> Mapping[int, float]:
+        """Code to weight, read-only; built on each access, never cached."""
+        return MappingProxyType(dict(zip(self.codes.tolist(), self.weights.tolist())))
 
     def ranked(self) -> list[tuple[int, float]]:
         """Entries sorted by descending score, ties by ascending code."""
@@ -35,25 +58,6 @@ class DescriptorVector:
 
     def norm(self) -> float:
         return self._norm
-
-    @cached_property
-    def _norm(self) -> float:
-        # once per vector: every search takes the norm of every candidate
-        return math.sqrt(ordered_sum(s * s for s in self.entries.values()))
-
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The entries as read-only int64 codes and float64 weights.
-
-        Built once per vector: every search stacks the rows of every
-        candidate.  The arrays keep the dict's entry order.
-        """
-        n = len(self.entries)
-        codes = np.fromiter(self.entries, dtype=np.int64, count=n)
-        weights = np.fromiter(self.entries.values(), dtype=np.float64, count=n)
-        # the same arrays go to every caller
-        codes.flags.writeable = weights.flags.writeable = False
-        return codes, weights
 
 
 def assign(doc: NormalizedDocument, profiles: ProfileSet, k: int = DEFAULT_TOP_K) -> DescriptorVector:

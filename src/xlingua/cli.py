@@ -12,7 +12,7 @@ import dataclasses
 import os
 import sys
 
-from xlingua.assign import assign
+from xlingua.assign import DescriptorVector, assign
 from xlingua.errors import XlinguaError, open_text
 from xlingua.harness import (
     MODES,
@@ -203,10 +203,7 @@ def _t3_distractors(spec: SyntheticSpec) -> list[DocRecord]:
     # the second collection reuses the first one's ids; prefix them so
     # that a distractor is never taken for the true translation
     return [
-        DocRecord(
-            vector=dataclasses.replace(r.vector, doc_id=f"x-{r.id}"),
-            char_length=r.char_length,
-        )
+        DocRecord(DescriptorVector(f"x-{r.id}", r.lang, r.vector.entries), r.char_length)
         for r in build_pipeline(second).tgt_records
     ]
 

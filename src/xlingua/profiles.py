@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -66,17 +67,20 @@ class AssociateProfile:
         return AssociateProfile(descriptor, lang, associates, norm)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProfileSet:
+    """One language's profiles; frozen, with ``profiles`` a read-only copy."""
+
     lang: str
-    profiles: dict[int, AssociateProfile]
+    profiles: Mapping[int, AssociateProfile]
     n_docs: int
 
-    def csr(self) -> tuple:
-        """CSR view of all profiles (ascending codes, lemma vocab, arrays).
+    def __post_init__(self) -> None:
+        # csr() is cached, so the profiles it is built from must not change
+        object.__setattr__(self, "profiles", MappingProxyType(dict(self.profiles)))
 
-        Built once on first use; the set is otherwise immutable.
-        """
+    def csr(self) -> tuple:
+        """CSR view of all profiles (ascending codes, lemma vocab, arrays), built once."""
         return self._csr
 
     @cached_property

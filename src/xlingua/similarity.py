@@ -22,7 +22,8 @@ import math
 import operator
 import statistics
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -42,17 +43,21 @@ _PRODUCT_BLOCK = 1 << 15
 _SCORE_BLOCK = 1 << 20
 
 
-@dataclass
+@dataclass(frozen=True)
 class LengthModel:
-    """Per language pair: mean and stddev of the target/source char ratio."""
+    """Per language pair: mean and stddev of the target/source char ratio.
 
-    pairs: dict[tuple[str, str], tuple[float, float]] = field(default_factory=dict)
+    The fields cannot be assigned and ``pairs`` cannot be written to, so
+    ``set()``, which checks what it stores, is the one way to change a model.
+    """
+
+    pairs: Mapping[tuple[str, str], tuple[float, float]] = field(default_factory=dict)
     same_lang_sigma: float = 0.2
 
     def __post_init__(self) -> None:
         _checked(1.0, self.same_lang_sigma)
-        for mu, sigma in self.pairs.values():
-            _checked(mu, sigma)
+        pairs = {key: _checked(mu, sigma) for key, (mu, sigma) in self.pairs.items()}
+        object.__setattr__(self, "pairs", MappingProxyType(pairs))
 
     def get(self, src_lang: str, tgt_lang: str) -> tuple[float, float]:
         key = (src_lang, tgt_lang)
@@ -63,7 +68,8 @@ class LengthModel:
         raise ConfigError(f"no length model entry for pair {src_lang!r} -> {tgt_lang!r}")
 
     def set(self, src_lang: str, tgt_lang: str, mu: float, sigma: float) -> None:
-        self.pairs[(src_lang, tgt_lang)] = _checked(mu, sigma)
+        pairs = {**self.pairs, (src_lang, tgt_lang): _checked(mu, sigma)}
+        object.__setattr__(self, "pairs", MappingProxyType(pairs))
 
 
 def _checked(mu: float, sigma: float) -> tuple[float, float]:
@@ -120,11 +126,11 @@ class RankedMatch:
 
 def cosine(a: DescriptorVector, b: DescriptorVector) -> float:
     """Cosine over the union of the two key sets; 0 if either is empty."""
-    if not a.entries or not b.entries:
+    x, y = a.entries, b.entries
+    if not x or not y:
         return 0.0
     # summation in sorted-key order keeps the result exactly symmetric
-    common = sorted(a.entries.keys() & b.entries.keys())
-    dot = ordered_sum(a.entries[c] * b.entries[c] for c in common)
+    dot = ordered_sum(x[c] * y[c] for c in sorted(x.keys() & y.keys()))
     if dot == 0.0:
         return 0.0
     return min(dot / (a.norm() * b.norm()), 1.0)
@@ -165,18 +171,13 @@ def similarity(
 
 
 def _flat(records: Sequence[DocRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every entry of ``records`` as parallel arrays: code, weight, record index.
-
-    The arrays of one record are its vector's cached ``arrays``, which no
-    caller writes to.
-    """
+    """Every entry of ``records`` as parallel arrays: code, weight, record index."""
     if len(records) == 1:
-        codes, weights = records[0].vector.arrays
-        return codes, weights, np.zeros(len(codes), dtype=np.intp)
-    arrays = [r.vector.arrays for r in records]
-    codes = np.concatenate([c for c, _ in arrays])
-    weights = np.concatenate([w for _, w in arrays])
-    rows = np.repeat(np.arange(len(records)), [len(c) for c, _ in arrays])
+        v = records[0].vector
+        return v.codes, v.weights, np.zeros(len(v.codes), dtype=np.intp)
+    codes = np.concatenate([r.vector.codes for r in records])
+    weights = np.concatenate([r.vector.weights for r in records])
+    rows = np.repeat(np.arange(len(records)), [len(r.vector.codes) for r in records])
     return codes, weights, rows
 
 

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlingua.assign import assign
+from xlingua.assign import DescriptorVector, assign
 from xlingua.errors import ValidationError
 from xlingua.kernels import csr_cosine_scores
 from xlingua.normalize import NormalizedDocument
@@ -153,3 +154,48 @@ def test_entries_equal_the_python_sort_reference(weights, lemma_freq, k):
     got = assign(doc(**lemma_freq), profiles, k)
     assert list(got.entries.items()) == list(reference_entries(doc(**lemma_freq), profiles, k).items())
     assert all(type(code) is int and type(s) is float for code, s in got.entries.items())
+
+
+def test_a_vector_cannot_be_changed_once_built():
+    v = DescriptorVector("v", "en", {7: 0.5, 2: 0.25})
+    for name, value in (("doc_id", "w"), ("codes", v.codes[:1]), ("entries", {}), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(v, name, value)
+    with pytest.raises(AttributeError):
+        del v.lang
+    with pytest.raises(TypeError):
+        v.entries[7] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        v.codes[0] = 3
+    with pytest.raises(ValueError, match="read-only"):
+        v.weights[0] = 1.0
+    assert v.entries == {7: 0.5, 2: 0.25} and v.norm() == math.sqrt(0.5**2 + 0.25**2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_weight_is_refused(bad):
+    with pytest.raises(ValidationError, match="document v: descriptor weights must be finite"):
+        DescriptorVector("v", "en", {1: 0.5, 2: bad})
+
+
+def test_a_100_entry_vector_takes_at_most_2400_bytes():
+    # 120 profiles that each match the document, codes up to 7,000 as in
+    # a Eurovoc-sized thesaurus; k=100 keeps 100 entries per vector
+    profiles = ProfileSet(
+        lang="en",
+        profiles={
+            code: AssociateProfile.from_associates(code, "en", [("fish", 1.0 + i), ("net", 120.0 - i)])
+            for i, code in enumerate(range(7000 - 58 * 119, 7001, 58))
+        },
+        n_docs=10,
+    )
+    docs = [doc(fish=1 + i % 7, net=1 + i % 5) for i in range(500)]
+    assert len(assign(docs[0], profiles).entries) == 100  # the CSR is built before tracing
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        vectors = [assign(d, profiles) for d in docs]
+        per_vector = (tracemalloc.get_traced_memory()[0] - before) / len(vectors)
+    finally:
+        tracemalloc.stop()
+    assert per_vector <= 2400, per_vector

@@ -317,6 +317,23 @@ def test_load_profiles_rejects_what_save_never_writes(tmp_path, text, where):
         load_profiles(str(path))
 
 
+def test_a_profile_set_cannot_be_changed_once_built():
+    from xlingua.assign import assign
+
+    given = {1: AssociateProfile.from_associates(1, "en", [("fish", 2.0)])}
+    ps = ProfileSet(lang="en", profiles=given, n_docs=3)
+    given.clear()  # the set keeps its own copy
+    query = NormalizedDocument(id="q", lang="en", lemma_freq={"fish": 1}, char_length=4, token_count=1)
+    assert assign(query, ps).entries == {1: 1.0}
+    with pytest.raises(AttributeError):
+        ps.profiles.clear()
+    with pytest.raises(TypeError):
+        ps.profiles[2] = ps.profiles[1]
+    with pytest.raises(AttributeError):
+        ps.profiles = {}
+    assert assign(query, ps).entries == {1: 1.0} and ps.csr()[1] == {"fish": 0}
+
+
 def test_load_profiles_accepts_equal_consecutive_weights(tmp_path):
     path = tmp_path / "eq.prof"
     path.write_text("PROFILESET en 10\nP 1\nA a 1.000000\nA b 1.000000\n", encoding="utf-8")

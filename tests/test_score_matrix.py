@@ -59,7 +59,7 @@ def cases(draw):
         if source is None:
             candidates.append(fresh(doc_id))
         else:  # an exact duplicate under another id
-            vector = replace(source.vector, doc_id=doc_id)
+            vector = DescriptorVector(doc_id, source.lang, source.vector.entries)
             candidates.append(DocRecord(vector, source.char_length))
     queries = [fresh(f"q{i}") for i in range(draw(st.integers(1, 3)))]
     for q in queries:
@@ -201,7 +201,7 @@ def test_identical_candidates_tie_exactly_and_break_by_id():
     q = DocRecord(DescriptorVector("q", "en", {3: 0.7, 1: 0.2, 2: 0.1}), 100)
     twin = DescriptorVector("t", "es", {2: 0.3, 1: 0.9, 7: 0.45})
     ids = [f"c{i:02d}" for i in range(37)]
-    candidates = [DocRecord(replace(twin, doc_id=i), 113) for i in reversed(ids)]
+    candidates = [DocRecord(DescriptorVector(i, "es", twin.entries), 113) for i in reversed(ids)]
     model = LengthModel()
     model.set("en", "es", 1.1, 0.2)
     _, _, final = score_matrix([q, q], candidates, SimilarityOptions(), model)
@@ -240,7 +240,7 @@ def test_detect_translation_breaks_an_exact_tie_by_the_smallest_id():
     q = DocRecord(DescriptorVector("q", "en", {1: 0.5, 2: 0.5}), 100)
     twin = DescriptorVector("t", "es", {1: 1.0, 2: 1.0})
     weaker = DocRecord(DescriptorVector("a", "es", {1: 1.0}), 100)
-    candidates = [weaker, *(DocRecord(replace(twin, doc_id=i), 100) for i in ("c9", "c2", "c5"))]
+    candidates = [weaker, *(DocRecord(DescriptorVector(i, "es", twin.entries), 100) for i in ("c9", "c2", "c5"))]
     opts = SimilarityOptions(use_length_factor=False, threshold=0.0)
     match = detect_translation(q, candidates, opts)
     assert match.candidate_id == "c2"

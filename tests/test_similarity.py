@@ -443,6 +443,22 @@ def test_length_model_constructor_rejects_what_set_rejects(bad):
     assert [m.final_score for m in match] == [opts.same_language_bias]
 
 
+def test_a_length_model_changes_only_through_set():
+    # a direct write used to skip the check: sigma nan or 0 made the score nan
+    m = LengthModel()
+    with pytest.raises(TypeError):
+        m.pairs[("en", "es")] = (1.0, math.nan)
+    with pytest.raises(AttributeError):
+        m.same_lang_sigma = 0.0
+    with pytest.raises(AttributeError):
+        m.pairs = {}
+    m.set("en", "es", 1.1, 0.2)
+    assert m.pairs == {("en", "es"): (1.1, 0.2)} and m.same_lang_sigma == 0.2
+    with pytest.raises(ValidationError, match="finite and positive"):
+        m.set("en", "es", 1.0, math.nan)
+    assert m.get("en", "es") == (1.1, 0.2)
+
+
 @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(xlingua.__path__)))
 def test_package_attribute_is_the_submodule(name):
     module = importlib.import_module(f"xlingua.{name}")

@@ -1,7 +1,7 @@
 """Scoring a pool that grows by appends, as a stream of arrivals does.
 
-Each ``DescriptorVector`` caches its norm and its code and weight arrays
-the first time it is scored, and later searches reuse them.  Every score
+Each ``DescriptorVector`` holds its codes, weights and norm from
+construction, and later searches reuse the kept candidate stack.  Every score
 of the reused records must equal, bit for bit, a score of uncached copies
 and the scalar ``cosine``; with the length factor off the final scores
 and their order (ties by ascending id) must equal the scalar path's too.
@@ -43,7 +43,7 @@ def arrivals(draw):
             length = draw(st.sampled_from([40, 100, 113]))
             records.append(DocRecord(DescriptorVector(doc_id, lang, entries), length))
         else:  # an exact duplicate under another id
-            records.append(DocRecord(replace(source.vector, doc_id=doc_id), source.char_length))
+            records.append(DocRecord(DescriptorVector(doc_id, source.lang, source.vector.entries), source.char_length))
     opts = SimilarityOptions(
         use_length_factor=draw(st.booleans()),
         same_language_bias=draw(st.sampled_from([1.0, 0.83, 0.5])),
@@ -110,16 +110,17 @@ def test_one_empty_vector_in_a_pool_scores_zero_among_the_others():
         DocRecord(DescriptorVector("c", "es", {3: 0.5, 9: 0.25}), 100),
     ]
     opts = SimilarityOptions(use_length_factor=False)
-    for _ in range(2):  # again, from the cached arrays
+    for _ in range(2):  # again, from the kept stack
         raw = score_matrix([q], pool, opts)[0][0]
         assert raw.tolist() == [similarity(q, c, opts)[0] for c in pool]
         assert raw[1] == 0.0 and raw[0] > 0.0 and raw[2] > 0.0
 
 
-def test_cached_arrays_are_read_only_and_follow_the_entries():
+def test_codes_and_weights_are_read_only_and_follow_the_entries():
     v = DescriptorVector("v", "en", {7: 0.5, 2: 0.25})
-    codes, weights = v.arrays
+    codes, weights = v.codes, v.weights
     assert codes.dtype == np.int64 and weights.dtype == np.float64
     assert dict(zip(codes.tolist(), weights.tolist())) == v.entries
-    assert v.arrays is v.arrays
+    assert codes.tolist() == [7, 2] and list(v.entries) == [7, 2]
+    assert v.codes is v.codes and v.weights is v.weights
     assert not codes.flags.writeable and not weights.flags.writeable
