@@ -72,8 +72,7 @@ def _cmd_train(args) -> int:
         max_associates=args.max_associates,
         idf_variant=args.idf_variant,
     )
-    normalized = [normalize(d, res) for d in docs]
-    profiles = train_profiles(normalized, thesaurus, config)
+    profiles = train_profiles((normalize(d, res) for d in docs), thesaurus, config)
     save_profiles(profiles, args.out)
     print(f"trained {len(profiles.profiles)} profiles ({lang}) from {len(docs)} documents")
     return 0

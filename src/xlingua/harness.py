@@ -25,7 +25,7 @@ import numpy as np
 
 from xlingua.assign import assign
 from xlingua.errors import ValidationError
-from xlingua.normalize import LanguageResources, NormalizedDocument, normalize
+from xlingua.normalize import normalize
 from xlingua.profiles import ProfileSet, TrainingConfig, train_profiles
 from xlingua.similarity import (
     DocRecord,
@@ -34,7 +34,7 @@ from xlingua.similarity import (
     estimate_length_model,
     score_matrix,
 )
-from xlingua.synthesis import ParallelCorpus, SyntheticCorpus
+from xlingua.synthesis import SyntheticCorpus
 
 MODES = ("T1ES", "T1SE", "T1ESLF", "T3", "BIL", "BILW", "THBIL", "THBILW")
 
@@ -76,39 +76,34 @@ class Pipeline:
     truth: dict[str, str]
 
 
-def normalize_corpus(
-    pairs: ParallelCorpus, resources: dict[str, LanguageResources]
-) -> list[tuple[NormalizedDocument, NormalizedDocument]]:
-    return [
-        (normalize(src, resources[src.lang]), normalize(tgt, resources[tgt.lang]))
-        for src, tgt in pairs.pairs
-    ]
-
-
 def build_pipeline(
     corpus: SyntheticCorpus,
     config: TrainingConfig | None = None,
     k: int = 100,
 ) -> Pipeline:
-    """Normalize, train per-language profiles, assign test docs, fit lengths."""
-    train_norm = normalize_corpus(corpus.train, corpus.resources)
-    test_norm = normalize_corpus(corpus.test, corpus.resources)
+    """Train per-language profiles, fit lengths, normalize and assign test docs.
+
+    Each trainer reads its language's training documents as they are
+    normalized, and each test pair is normalized and assigned in turn, so
+    no normalized collection is ever held.
+    """
+    res = corpus.resources
+    train = corpus.train.pairs
     src_lang, tgt_lang = corpus.train.src_lang, corpus.train.tgt_lang
 
     profiles = {
-        src_lang: train_profiles([s for s, _ in train_norm], corpus.thesaurus, config),
-        tgt_lang: train_profiles([t for _, t in train_norm], corpus.thesaurus, config),
+        src_lang: train_profiles((normalize(s, res[s.lang]) for s, _ in train), corpus.thesaurus, config),
+        tgt_lang: train_profiles((normalize(t, res[t.lang]) for _, t in train), corpus.thesaurus, config),
     }
 
     model = LengthModel()
-    mu, sigma = estimate_length_model(train_norm)
-    model.set(src_lang, tgt_lang, mu, sigma)
-    mu_rev, sigma_rev = estimate_length_model([(t, s) for s, t in train_norm])
-    model.set(tgt_lang, src_lang, mu_rev, sigma_rev)
+    model.set(src_lang, tgt_lang, *estimate_length_model(train))
+    model.set(tgt_lang, src_lang, *estimate_length_model((t, s) for s, t in train))
 
     src_records, tgt_records = [], []
     truth: dict[str, str] = {}
-    for s, t in test_norm:
+    for raw_s, raw_t in corpus.test.pairs:
+        s, t = normalize(raw_s, res[raw_s.lang]), normalize(raw_t, res[raw_t.lang])
         src_records.append(DocRecord(vector=assign(s, profiles[src_lang], k), char_length=s.char_length))
         tgt_records.append(DocRecord(vector=assign(t, profiles[tgt_lang], k), char_length=t.char_length))
         truth[s.id] = t.id
@@ -243,6 +238,8 @@ def sweep_threshold(
     """
     if not outcomes:
         raise ValidationError("empty outcome set")
+    if not 0 < step <= 1:  # also refuses NaN
+        raise ValidationError(f"threshold grid step must be in (0, 1], got {step!r}")
     n = len(outcomes)
     table = []
     steps = round(1.0 / step)

@@ -50,6 +50,10 @@ class RawDocument:
         if not self.id:
             raise ValidationError("document id must be nonempty")
 
+    @property
+    def char_length(self) -> int:
+        return len(self.text)
+
 
 @dataclass(frozen=True)
 class NormalizedDocument:
@@ -120,7 +124,7 @@ def normalize(doc: RawDocument, res: LanguageResources) -> NormalizedDocument:
         id=doc.id,
         lang=doc.lang,
         lemma_freq=dict(counts),
-        char_length=len(doc.text),
+        char_length=doc.char_length,
         token_count=len(tokens),
         manual_descriptors=doc.manual_descriptors,
     )

@@ -9,9 +9,11 @@ G2 x IDF and the top entries kept.
 from __future__ import annotations
 
 import math
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import count
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -130,37 +132,53 @@ def train_profiles(
     documents, be positively associated (subset rate above global rate)
     and clear ``g2_threshold``; weight is G2 x IDF, top ``max_associates``
     kept, ties broken lexicographically.
+
+    ``corpus`` is read once, one document at a time, so a generator of
+    ``normalize`` calls trains without a normalized collection in memory.
     """
     config = config or TrainingConfig()
-    docs = list(corpus)
-    if not docs:
+    lang: str | None = None
+    n_docs = 0
+    # lemma -> id, the next id given on a lemma's first lookup; one row per
+    # (document, lemma), documents in corpus order. The rows are int32 to
+    # keep these corpus-sized buffers small, and a document is dropped once
+    # its rows are taken, so no normalized collection is held.
+    first_seen: defaultdict[str, int] = defaultdict(count().__next__)
+    ids = array("i")
+    counts = array("i")
+    bounds = [0]
+    by_descriptor: dict[int, list[int]] = {}
+    for doc in corpus:
+        if lang is None:
+            lang = doc.lang
+        elif doc.lang != lang:
+            raise ValidationError(f"training corpus mixes languages: {sorted({lang, doc.lang})}")
+        freq = doc.lemma_freq
+        # fromlist converts a list faster than extend does an iterator
+        ids.fromlist(list(map(first_seen.__getitem__, freq)))
+        counts.fromlist(list(freq.values()))
+        bounds.append(len(ids))
+        for code in doc.manual_descriptors or ():
+            by_descriptor.setdefault(code, []).append(n_docs)
+        n_docs += 1
+    if lang is None:
         raise ValidationError("empty training corpus")
-    langs = {d.lang for d in docs}
-    if len(langs) != 1:
-        raise ValidationError(f"training corpus mixes languages: {sorted(langs)}")
-    lang = docs[0].lang
 
-    n_docs = len(docs)
-    lemmas = sorted(set(chain.from_iterable(d.lemma_freq for d in docs)))
-    # ids in lexicographic order, so that ascending id is lemma order
-    lemma_id = dict(zip(lemmas, range(len(lemmas))))
-    # one row per (document, lemma), documents in corpus order; the rows are
-    # int32 to keep these corpus-sized arrays small
-    bounds = [0, *accumulate(len(d.lemma_freq) for d in docs)]
+    lemmas = sorted(first_seen)
+    # first-seen id -> lexicographic id, so that ascending id is lemma order;
+    # the rows are renumbered block by block below
+    rank = np.empty(len(lemmas), dtype=np.int32)
+    rank[list(map(first_seen.__getitem__, lemmas))] = np.arange(len(lemmas))
+    del first_seen
     n_rows = bounds[-1]
-    ids = np.fromiter(
-        map(lemma_id.__getitem__, chain.from_iterable(d.lemma_freq for d in docs)),
-        dtype=np.int32,
-        count=n_rows,
-    )
-    counts = np.fromiter(
-        chain.from_iterable(d.lemma_freq.values() for d in docs), dtype=np.int32, count=n_rows
-    )
+    ids = np.frombuffer(ids, dtype=np.int32)
+    counts = np.frombuffer(counts, dtype=np.int32)
     # float64 sums of integer counts are exact below 2**53
     df = np.zeros(len(lemmas), dtype=np.int64)
     global_counts = np.zeros(len(lemmas))
     for start in range(0, n_rows, _BINCOUNT_ROWS):
         block = slice(start, start + _BINCOUNT_ROWS)
+        ids[block] = rank[ids[block]]
         df += np.bincount(ids[block], minlength=len(lemmas))
         global_counts += np.bincount(ids[block], weights=counts[block], minlength=len(lemmas))
     grand_total = counts.sum()
@@ -168,11 +186,6 @@ def train_profiles(
     idf_by_df = np.array(
         [0.0] + [idf(d, n_docs, config.idf_variant) for d in range(1, int(df.max(initial=0)) + 1)]
     )
-
-    by_descriptor: dict[int, list[int]] = {}
-    for i, doc in enumerate(docs):
-        for code in doc.manual_descriptors or ():
-            by_descriptor.setdefault(code, []).append(i)
 
     profiles: dict[int, AssociateProfile] = {}
     for code in sorted(thesaurus.descriptors):

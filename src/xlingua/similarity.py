@@ -319,6 +319,9 @@ def _cosines(queries: Sequence[DocRecord], stack: _CandidateStack) -> np.ndarray
     step = max(1, _PRODUCT_BLOCK // max(1, c.size))
     for lo in range(0, len(queries), step):
         products = q[lo : lo + step, None, :] * c[None, :, :]
+        # cumsum adds left to right, as ``cosine`` does; the weights being
+        # multiplied come from assign, whose sums are numpy's pairwise ones
+        # (kernels.csr_cosine_scores)
         dots[lo : lo + step] = np.cumsum(products, axis=2, out=products)[:, :, -1]
     norm = np.array([r.vector.norm() for r in queries])
     cos = np.zeros(dots.shape)
@@ -478,9 +481,13 @@ def detect_translation(
 
 
 def estimate_length_model(
-    pairs: Iterable[tuple[NormalizedDocument, NormalizedDocument]],
+    pairs: Iterable[tuple[RawDocument | NormalizedDocument, RawDocument | NormalizedDocument]],
 ) -> tuple[float, float]:
-    """Mean and sample stddev (n-1) of tgt/src char ratios over pairs."""
+    """Mean and sample stddev (n-1) of tgt/src char ratios over pairs.
+
+    A raw document and its normalized form have the same ``char_length``,
+    so either can be passed.
+    """
     ratios = []
     for src, tgt in pairs:
         if src.char_length <= 0:

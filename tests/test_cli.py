@@ -37,15 +37,14 @@ def workspace(tmp_path_factory):
         assert code == 0
 
     # length model estimated from the generated training pairs
-    from xlingua.harness import normalize_corpus
     from xlingua.similarity import LengthModel, estimate_length_model, save_length_model
     from xlingua.synthesis import SyntheticSpec, generate_synthetic
 
     gen = generate_synthetic(SyntheticSpec(**SPEC))
-    norm = normalize_corpus(gen.train, gen.resources)
+    pairs = gen.train.pairs
     model = LengthModel()
-    model.set("en", "es", *estimate_length_model(norm))
-    model.set("es", "en", *estimate_length_model([(t, s) for s, t in norm]))
+    model.set("en", "es", *estimate_length_model(pairs))
+    model.set("es", "en", *estimate_length_model([(t, s) for s, t in pairs]))
     save_length_model(model, str(root / "model.lm"))
     return root
 

@@ -239,6 +239,41 @@ def test_train_profiles_rejects_mixed_languages():
         train_profiles(corpus + [bad], flat_thesaurus(2))
 
 
+def test_a_one_pass_trainer_refuses_an_empty_or_language_switching_stream():
+    with pytest.raises(ValidationError, match="empty training corpus"):
+        train_profiles(iter([]), flat_thesaurus(2))
+    corpus = make_training_corpus()
+    bad = NormalizedDocument(
+        id="x", lang="es", lemma_freq={"pez": 1}, char_length=10,
+        token_count=1, manual_descriptors=frozenset({1}),
+    )
+    # the switch is seen mid-way, after three English documents
+    with pytest.raises(ValidationError, match=re.escape("['en', 'es']")):
+        train_profiles(iter(corpus[:3] + [bad] + corpus[3:]), flat_thesaurus(2))
+
+
+def test_a_one_shot_iterator_trains_what_its_documents_as_a_list_train():
+    from xlingua.normalize import normalize
+    from xlingua.synthesis import SyntheticSpec, generate_synthetic
+
+    corpus = generate_synthetic(
+        SyntheticSpec(n_descriptors=8, n_train_docs=60, n_test_pairs=4, vocab_size_per_lang=300)
+    )
+
+    def exact(ps):
+        return ps.lang, ps.n_docs, {
+            code: ([(lemma, w.hex()) for lemma, w in p.associates], p.norm.hex())
+            for code, p in ps.profiles.items()
+        }
+
+    for side in (0, 1):
+        docs = [pair[side] for pair in corpus.train.pairs]
+        res = corpus.resources[docs[0].lang]
+        want = train_profiles([normalize(d, res) for d in docs], corpus.thesaurus)
+        got = train_profiles((normalize(d, res) for d in docs), corpus.thesaurus)
+        assert exact(got) == exact(want)
+
+
 def test_profile_norm_matches_weights():
     p = AssociateProfile.from_associates(1, "en", [("a", 3.0), ("b", 4.0)])
     assert p.norm == pytest.approx(5.0)
@@ -344,15 +379,15 @@ def test_load_profiles_accepts_equal_consecutive_weights(tmp_path):
 def test_save_load_round_trip_on_synthetic_profiles(tmp_path):
     """Both languages' trained profiles reload, including the equal
     neighbouring weights that rounding to 6 decimals produces."""
-    from xlingua.harness import normalize_corpus
+    from xlingua.normalize import normalize
     from xlingua.synthesis import SyntheticSpec, generate_synthetic
 
     corpus = generate_synthetic(
         SyntheticSpec(n_descriptors=8, n_train_docs=60, n_test_pairs=4, vocab_size_per_lang=300)
     )
-    train = normalize_corpus(corpus.train, corpus.resources)
     for side in (0, 1):
-        ps = train_profiles([pair[side] for pair in train], corpus.thesaurus)
+        docs = [normalize(pair[side], corpus.resources[pair[side].lang]) for pair in corpus.train.pairs]
+        ps = train_profiles(docs, corpus.thesaurus)
         p1, p2 = tmp_path / f"{side}a.prof", tmp_path / f"{side}b.prof"
         save_profiles(ps, str(p1))
         lines = p1.read_text(encoding="utf-8").splitlines()

@@ -188,6 +188,22 @@ def test_estimate_length_model():
         estimate_length_model(pairs[:1])
 
 
+def test_estimate_length_model_takes_raw_or_normalized_pairs():
+    from xlingua.normalize import normalize
+    from xlingua.synthesis import SyntheticSpec, generate_synthetic
+
+    corpus = generate_synthetic(
+        SyntheticSpec(n_descriptors=8, n_train_docs=40, n_test_pairs=2, vocab_size_per_lang=300)
+    )
+    res = corpus.resources
+    raw = corpus.train.pairs
+    norm = [(normalize(s, res[s.lang]), normalize(t, res[t.lang])) for s, t in raw]
+    assert estimate_length_model(raw) == estimate_length_model(norm)
+    assert estimate_length_model((t, s) for s, t in raw) == estimate_length_model(
+        (t, s) for s, t in norm
+    )
+
+
 def test_shingles_and_jaccard():
     assert shingles("abcdef", 5) == frozenset({"abcde", "bcdef"})
     assert shingles("ab", 5) == frozenset({"ab"})

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from xlingua.errors import ConfigError, ValidationError
-from xlingua.harness import build_pipeline, normalize_corpus
+from xlingua.harness import build_pipeline
 from xlingua.similarity import estimate_length_model
 from xlingua.synthesis import (
     _STOPWORD_RATE,
@@ -226,7 +226,7 @@ def test_length_model_recovery():
     # >=200 pairs: the estimated mean ratio lands within 0.02 of the target
     spec = SyntheticSpec(n_train_docs=250)
     corpus = generate_synthetic(spec)
-    mu, sigma = estimate_length_model(normalize_corpus(corpus.train, corpus.resources))
+    mu, sigma = estimate_length_model(corpus.train.pairs)
     assert mu == pytest.approx(1.135, abs=0.02)
     assert sigma > 0
 
