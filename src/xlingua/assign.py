@@ -79,9 +79,9 @@ def assign(doc: NormalizedDocument, profiles: ProfileSet, k: int = DEFAULT_TOP_K
     codes, vocab, indptr, indices, data, norms = profiles.csr()
     query = np.zeros(len(vocab), dtype=np.float64)
     for lemma, cnt in doc.lemma_freq.items():
-        idx = vocab.get(lemma)
-        if idx is not None:
-            query[idx] = cnt
+        # a read-only vocab's get is a method call; in and [] are not
+        if lemma in vocab:
+            query[vocab[lemma]] = cnt
     # union semantics: the query norm covers all document lemmas, in or
     # out of the profile vocabulary
     query_norm = math.sqrt(sum(c * c for c in doc.lemma_freq.values()))

@@ -55,26 +55,32 @@ def _resources_for(args, lang: str) -> LanguageResources:
 
 
 def _cmd_train(args) -> int:
-    docs = read_manifest(args.corpus)
-    if args.lang:
-        docs = [d for d in docs if d.lang == args.lang]
-    langs = {d.lang for d in docs}
-    if len(langs) != 1:
-        raise XlinguaError(
-            f"training corpus must be a single language (got {sorted(langs)}); use --lang"
-        )
-    lang = langs.pop()
     thesaurus = load_thesaurus(args.thesaurus)
-    res = _resources_for(args, lang)
     config = TrainingConfig(
         min_doc_freq=args.min_doc_freq,
         g2_threshold=args.g2_threshold,
         max_associates=args.max_associates,
         idf_variant=args.idf_variant,
     )
-    profiles = train_profiles((normalize(d, res) for d in docs), thesaurus, config)
+
+    def normalized():
+        # one manifest document at a time; the first one sets the language
+        res = None
+        for doc in read_manifest(args.corpus):
+            if args.lang and doc.lang != args.lang:
+                continue
+            if res is None:
+                res = _resources_for(args, doc.lang)
+            elif doc.lang != res.lang:
+                raise XlinguaError(
+                    "training corpus must be a single language"
+                    f" (got {sorted({res.lang, doc.lang})}); use --lang"
+                )
+            yield normalize(doc, res)
+
+    profiles = train_profiles(normalized(), thesaurus, config)
     save_profiles(profiles, args.out)
-    print(f"trained {len(profiles.profiles)} profiles ({lang}) from {len(docs)} documents")
+    print(f"trained {len(profiles.codes)} profiles ({profiles.lang}) from {profiles.n_docs} documents")
     return 0
 
 
@@ -178,7 +184,7 @@ def _cmd_find_translations(args) -> int:
 
 
 def _cmd_dedupe(args) -> int:
-    docs = read_manifest(args.candidates)
+    docs = list(read_manifest(args.candidates))
     _, report = dedupe(docs, threshold=args.threshold)
     for kept_id, removed_id, j in report:
         print(f"{kept_id}\t{removed_id}\t{j:.6f}")

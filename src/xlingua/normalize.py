@@ -13,6 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterator
 
 from xlingua.errors import ParseError, ValidationError, open_text
 
@@ -179,14 +180,15 @@ def load_language_resources(resource_dir: str, lang: str) -> LanguageResources:
     )
 
 
-def read_manifest(path: str) -> list[RawDocument]:
+def read_manifest(path: str) -> Iterator[RawDocument]:
     """Read a corpus manifest: ``id<TAB>lang<TAB>path<TAB>codes`` per line.
 
     Document paths are resolved relative to the manifest location; the
-    codes column is comma-separated and may be empty.
+    codes column is comma-separated and may be empty.  Documents are
+    yielded one at a time, so a line is checked and its file read only
+    when iteration reaches it.
     """
     base = os.path.dirname(os.path.abspath(path))
-    docs: list[RawDocument] = []
     seen: set[str] = set()
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -213,5 +215,4 @@ def read_manifest(path: str) -> list[RawDocument]:
             doc_path = rel_path if os.path.isabs(rel_path) else os.path.join(base, rel_path)
             with open_text(doc_path) as doc_fh:
                 text = doc_fh.read()
-            docs.append(RawDocument(id=doc_id, lang=lang, text=text, manual_descriptors=codes))
-    return docs
+            yield RawDocument(id=doc_id, lang=lang, text=text, manual_descriptors=codes)

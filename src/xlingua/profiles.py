@@ -12,10 +12,9 @@ import math
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import count
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -55,59 +54,61 @@ class TrainingConfig:
             raise ValidationError(f"unknown idf_variant {self.idf_variant!r}")
 
 
-@dataclass(frozen=True)
-class AssociateProfile:
-    descriptor: int
-    lang: str
-    associates: tuple[tuple[str, float], ...]
-    norm: float
-
-    @staticmethod
-    def from_associates(descriptor, lang, associates) -> "AssociateProfile":
-        associates = tuple((lemma, float(w)) for lemma, w in associates)
-        norm = math.sqrt(ordered_sum(w * w for _, w in associates))
-        return AssociateProfile(descriptor, lang, associates, norm)
-
-
-@dataclass(frozen=True)
 class ProfileSet:
-    """One language's profiles; frozen, with ``profiles`` a read-only copy."""
+    """One language's associate profiles, held once as read-only CSR arrays.
 
-    lang: str
-    profiles: Mapping[int, AssociateProfile]
-    n_docs: int
+    Row ``i`` is the profile of descriptor ``codes[i]`` (ascending): the
+    ``vocab`` columns ``indices[indptr[i]:indptr[i + 1]]`` in rank order,
+    weighted by ``data[...]``, with Euclidean norm ``norms[i]``.  ``vocab``
+    maps a lemma to its column, numbered in first-seen order.  Nothing can
+    be set or written to, so no score can be computed from stale profiles.
+    """
 
-    def __post_init__(self) -> None:
-        # csr() is cached, so the profiles it is built from must not change
-        object.__setattr__(self, "profiles", MappingProxyType(dict(self.profiles)))
+    __slots__ = ("lang", "n_docs", "codes", "vocab", "indptr", "indices", "data", "norms")
+
+    def __init__(self, lang: str, profiles: Mapping[int, Iterable[tuple[str, float]]], n_docs: int) -> None:
+        codes = sorted(profiles)
+        vocab, indptr, indices, data, norms = {}, [0], [], [], []
+        for code in codes:
+            for lemma, w in profiles[code]:
+                indices.append(vocab.setdefault(lemma, len(vocab)))
+                data.append(float(w))
+            norms.append(math.sqrt(ordered_sum(w * w for w in data[indptr[-1]:])))
+            indptr.append(len(data))
+        values = (
+            lang, n_docs, np.array(codes, dtype=np.int64), MappingProxyType(vocab),
+            np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
+            np.array(data, dtype=np.float64), np.array(norms, dtype=np.float64),
+        )
+        for name, value in zip(self.__slots__, values):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def _read_only(self, name: str, *_) -> None:
+        raise AttributeError(f"ProfileSet is read-only: cannot change {name!r}")
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __repr__(self) -> str:
+        return f"ProfileSet({self.lang!r}, {len(self.codes)} profiles, n_docs={self.n_docs})"
 
     def csr(self) -> tuple:
-        """CSR view of all profiles (ascending codes, lemma vocab, arrays), built once."""
-        return self._csr
+        """The stored arrays: ``(codes, vocab, indptr, indices, data, norms)``."""
+        return self.codes, self.vocab, self.indptr, self.indices, self.data, self.norms
 
-    @cached_property
-    def _csr(self) -> tuple:
-        codes = sorted(self.profiles)
-        vocab: dict[str, int] = {}
-        indptr = [0]
-        indices: list[int] = []
-        data: list[float] = []
-        norms: list[float] = []
-        for code in codes:
-            p = self.profiles[code]
-            for lemma, w in p.associates:
-                indices.append(vocab.setdefault(lemma, len(vocab)))
-                data.append(w)
-            indptr.append(len(indices))
-            norms.append(p.norm)
-        return (
-            np.asarray(codes, dtype=np.int64),
-            vocab,
-            np.asarray(indptr, dtype=np.int64),
-            np.asarray(indices, dtype=np.int64),
-            np.asarray(data, dtype=np.float64),
-            np.asarray(norms, dtype=np.float64),
-        )
+    def _rows(self) -> Iterator[tuple[int, Iterator[tuple[str, float]]]]:
+        """Each code with its ``(lemma, weight)`` associates, read from the arrays."""
+        lemmas = list(self.vocab)
+        words, weights = [lemmas[i] for i in self.indices.tolist()], self.data.tolist()
+        bounds = self.indptr.tolist()
+        for code, a, b in zip(self.codes.tolist(), bounds, bounds[1:]):
+            yield code, zip(words[a:b], weights[a:b])
+
+    @property
+    def profiles(self) -> Mapping[int, tuple[tuple[str, float], ...]]:
+        """Code to its associates, read-only; built on each access, never cached."""
+        return MappingProxyType({code: tuple(row) for code, row in self._rows()})
 
 
 def idf(df: int, n_docs: int, variant: str = IDF_LOG_N_OVER_DF_PLUS_ONE) -> float:
@@ -187,7 +188,7 @@ def train_profiles(
         [0.0] + [idf(d, n_docs, config.idf_variant) for d in range(1, int(df.max(initial=0)) + 1)]
     )
 
-    profiles: dict[int, AssociateProfile] = {}
+    profiles: dict[int, list[tuple[str, float]]] = {}
     for code in sorted(thesaurus.descriptors):
         doc_idxs = by_descriptor.get(code)
         if not doc_idxs:
@@ -212,8 +213,7 @@ def train_profiles(
         if not keep.any():
             continue
         scored = sorted(zip((-weights[keep]).tolist(), candidates[keep].tolist()))
-        associates = [(lemmas[i], -w) for w, i in scored[: config.max_associates]]
-        profiles[code] = AssociateProfile.from_associates(code, lang, associates)
+        profiles[code] = [(lemmas[i], -w) for w, i in scored[: config.max_associates]]
 
     if not profiles:
         raise ValidationError("no descriptor has any training document with surviving associates")
@@ -223,10 +223,9 @@ def train_profiles(
 def save_profiles(ps: ProfileSet, path: str) -> None:
     """Write a profile set; descriptors ascending, weights at 6 decimals."""
     lines = [f"PROFILESET {ps.lang} {ps.n_docs}"]
-    for code in sorted(ps.profiles):
+    for code, row in ps._rows():
         lines.append(f"P {code}")
-        for lemma, w in ps.profiles[code].associates:
-            lines.append(f"A {lemma} {w:.6f}")
+        lines.extend(f"A {lemma} {w:.6f}" for lemma, w in row)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -235,7 +234,7 @@ def load_profiles(path: str) -> ProfileSet:
     """Load a profile set; norms are recomputed from the stored weights."""
     lang: str | None = None
     n_docs = 0
-    profiles: dict[int, AssociateProfile] = {}
+    profiles: dict[int, list[tuple[str, float]]] = {}
     current_code: int | None = None
     current_line = 0  # the line of current_code's P
     current: dict[str, float] = {}  # lemma -> weight, in file order
@@ -245,9 +244,7 @@ def load_profiles(path: str) -> ProfileSet:
         if current_code is not None:
             if not current:
                 raise ParseError(f"{path}:{current_line}: profile P {current_code} has no associates")
-            profiles[current_code] = AssociateProfile.from_associates(
-                current_code, lang, current.items()
-            )
+            profiles[current_code] = list(current.items())
         current_code, current = None, {}
 
     with open_text(path) as fh:

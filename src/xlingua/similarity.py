@@ -701,6 +701,7 @@ def save_length_model(model: LengthModel, path: str) -> None:
 
 def load_length_model(path: str) -> LengthModel:
     model = LengthModel()
+    first_line: dict[tuple[str, str], int] = {}  # pair -> the line that gave it
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -713,6 +714,12 @@ def load_length_model(path: str) -> LengthModel:
                 mu, sigma = float(parts[3]), float(parts[4])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: malformed numbers") from exc
+            pair = (parts[1], parts[2])
+            if pair in first_line:
+                raise ParseError(
+                    f"{path}:{lineno}: repeated PAIR {pair[0]} {pair[1]}, first given on line {first_line[pair]}"
+                )
+            first_line[pair] = lineno
             try:
                 model.set(parts[1], parts[2], mu, sigma)
             except ValidationError as exc:

@@ -238,7 +238,7 @@ def test_criterion_9_invariants(bench):
     rng = random.Random(9)
 
     scale_ok = True
-    lemmas = [lm for p in profiles.profiles.values() for lm, _ in p.associates[:3]]
+    lemmas = [lm for p in profiles.profiles.values() for lm, _ in p[:3]]
     for _ in range(25):
         chosen = rng.sample(lemmas, 8)
         counts = {lm: rng.randint(1, 9) for lm in chosen}

@@ -10,14 +10,14 @@ from xlingua.assign import DescriptorVector, assign
 from xlingua.errors import ValidationError
 from xlingua.kernels import csr_cosine_scores
 from xlingua.normalize import NormalizedDocument
-from xlingua.profiles import AssociateProfile, ProfileSet
+from xlingua.profiles import ProfileSet
 
 
 def make_profiles():
     profiles = {
-        1: AssociateProfile.from_associates(1, "en", [("fish", 5.0), ("net", 2.0)]),
-        2: AssociateProfile.from_associates(2, "en", [("steel", 4.0), ("furnace", 3.0)]),
-        3: AssociateProfile.from_associates(3, "en", [("fish", 1.0), ("market", 4.0)]),
+        1: [("fish", 5.0), ("net", 2.0)],
+        2: [("steel", 4.0), ("furnace", 3.0)],
+        3: [("fish", 1.0), ("market", 4.0)],
     }
     return ProfileSet(lang="en", profiles=profiles, n_docs=10)
 
@@ -79,8 +79,8 @@ def test_tied_scores_break_by_ascending_code():
     profiles = ProfileSet(
         lang="en",
         profiles={
-            7: AssociateProfile.from_associates(7, "en", [("alpha", 1.0)]),
-            3: AssociateProfile.from_associates(3, "en", [("alpha", 1.0)]),
+            7: [("alpha", 1.0)],
+            3: [("alpha", 1.0)],
         },
         n_docs=4,
     )
@@ -109,10 +109,10 @@ def test_cosines_above_one_are_clamped_and_tie_by_code():
     profiles = ProfileSet(
         lang="en",
         profiles={
-            9: AssociateProfile.from_associates(9, "en", ones),
-            4: AssociateProfile.from_associates(4, "en", [("x", 3.0), ("y", 3.0), ("z", 3.0)]),
-            6: AssociateProfile.from_associates(6, "en", ones),
-            2: AssociateProfile.from_associates(2, "en", [("x", 1.0)]),
+            9: ones,
+            4: [("x", 3.0), ("y", 3.0), ("z", 3.0)],
+            6: ones,
+            2: [("x", 1.0)],
         },
         n_docs=4,
     )
@@ -145,10 +145,7 @@ def test_entries_equal_the_python_sort_reference(weights, lemma_freq, k):
     """Same codes, scores and order, ties and clamped cosines included."""
     profiles = ProfileSet(
         lang="en",
-        profiles={
-            code: AssociateProfile.from_associates(code, "en", ws.items())
-            for code, ws in weights.items()
-        },
+        profiles={code: ws.items() for code, ws in weights.items()},
         n_docs=10,
     )
     got = assign(doc(**lemma_freq), profiles, k)
@@ -184,13 +181,13 @@ def test_a_100_entry_vector_takes_at_most_2400_bytes():
     profiles = ProfileSet(
         lang="en",
         profiles={
-            code: AssociateProfile.from_associates(code, "en", [("fish", 1.0 + i), ("net", 120.0 - i)])
+            code: [("fish", 1.0 + i), ("net", 120.0 - i)]
             for i, code in enumerate(range(7000 - 58 * 119, 7001, 58))
         },
         n_docs=10,
     )
     docs = [doc(fish=1 + i % 7, net=1 + i % 5) for i in range(500)]
-    assert len(assign(docs[0], profiles).entries) == 100  # the CSR is built before tracing
+    assert len(assign(docs[0], profiles).entries) == 100
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

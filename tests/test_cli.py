@@ -63,6 +63,24 @@ def test_train_writes_loadable_profiles(workspace):
     assert ps.profiles
 
 
+def test_train_takes_one_manifest_language(workspace, capsys, tmp_path):
+    corpus = workspace / "corpus"
+    args = [
+        "train",
+        "--corpus", str(corpus / "train_manifest.tsv"),
+        "--thesaurus", str(corpus / "thesaurus.txt"),
+        "--resources", str(corpus / "resources"),
+        "--out", str(tmp_path / "x.prof"),
+    ]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "['en', 'es']" in err and "use --lang" in err
+    assert not (tmp_path / "x.prof").exists()
+    assert main(args + ["--lang", "es"]) == 0
+    assert capsys.readouterr().out.endswith(f"(es) from {SPEC['n_train_docs']} documents\n")
+    assert (tmp_path / "x.prof").read_bytes() == (workspace / "es.prof").read_bytes()
+
+
 def test_assign_outputs_ranked_descriptors(workspace, capsys, tmp_path):
     corpus = workspace / "corpus"
     doc = next((corpus / "docs").glob("te*-en.txt"))

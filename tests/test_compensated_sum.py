@@ -23,7 +23,7 @@ import xlingua
 from xlingua.assign import DescriptorVector
 from xlingua.cli import _t3_distractors
 from xlingua.harness import MODES, build_pipeline
-from xlingua.profiles import AssociateProfile
+from xlingua.profiles import ProfileSet
 from xlingua.similarity import cosine
 from xlingua.synthesis import _WEIGHT_ALPHA, SyntheticSpec, _mix_weights, generate_synthetic
 
@@ -88,8 +88,8 @@ def test_each_pinned_float_sum_adds_left_to_right():
     ones = DescriptorVector("ones", "es", dict.fromkeys(range(10), 1.0))
     assert v.norm() == math.sqrt(left_to_right(squares))
     assert cosine(v, ones) == left_to_right(w) / (v.norm() * ones.norm())
-    profile = AssociateProfile.from_associates(1, "en", [(f"l{i}", x) for i, x in enumerate(w)])
-    assert profile.norm == v.norm()
+    profiles = ProfileSet("en", {1: [(f"l{i}", x) for i, x in enumerate(w)]}, n_docs=1)
+    assert profiles.norms[0] == v.norm()
     rng = random.Random(0)
     raw = [rng.gammavariate(_WEIGHT_ALPHA, 1.0) for _ in range(4)]
     assert compensated_sum(raw) != left_to_right(raw)

@@ -192,7 +192,7 @@ def test_read_manifest(tmp_path):
         "# corpus\nd1\ten\tdoc1.txt\t1,2\nd2\tes\tdoc2.txt\t\n",
         encoding="utf-8",
     )
-    docs = read_manifest(str(manifest))
+    docs = list(read_manifest(str(manifest)))
     assert [d.id for d in docs] == ["d1", "d2"]
     assert docs[0].manual_descriptors == frozenset({1, 2})
     assert docs[1].manual_descriptors is None
@@ -204,7 +204,7 @@ def test_read_manifest_duplicate_id(tmp_path):
     manifest = tmp_path / "m.tsv"
     manifest.write_text("d1\ten\ta.txt\t\nd1\ten\ta.txt\t\n", encoding="utf-8")
     with pytest.raises(ValidationError):
-        read_manifest(str(manifest))
+        list(read_manifest(str(manifest)))
 
 
 def test_read_manifest_non_integer_code_is_a_parse_error(tmp_path):
@@ -212,4 +212,14 @@ def test_read_manifest_non_integer_code_is_a_parse_error(tmp_path):
     manifest = tmp_path / "m.tsv"
     manifest.write_text("# header\na\ten\ta.txt\t1,x\n", encoding="utf-8")
     with pytest.raises(ParseError, match=r"m\.tsv:2: "):
-        read_manifest(str(manifest))
+        list(read_manifest(str(manifest)))
+
+
+def test_read_manifest_reads_a_document_only_when_iteration_reaches_it(tmp_path):
+    (tmp_path / "a.txt").write_text("hello", encoding="utf-8")
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("a\ten\ta.txt\t\nb\ten\tmissing.txt\t\n", encoding="utf-8")
+    docs = read_manifest(str(manifest))
+    assert next(docs).text == "hello"
+    with pytest.raises(FileNotFoundError, match="missing.txt"):
+        next(docs)

@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,7 +16,6 @@ from xlingua.normalize import NormalizedDocument
 from xlingua.profiles import (
     IDF_LOG_N_OVER_DF,
     IDF_LOG_N_OVER_DF_PLUS_ONE,
-    AssociateProfile,
     ProfileSet,
     TrainingConfig,
     idf,
@@ -81,8 +82,8 @@ def make_training_corpus():
 
 def test_train_profiles_selects_topical_lemmas():
     ps = train_profiles(make_training_corpus(), flat_thesaurus(2))
-    lemmas1 = [lm for lm, _ in ps.profiles[1].associates]
-    lemmas2 = [lm for lm, _ in ps.profiles[2].associates]
+    lemmas1 = [lm for lm, _ in ps.profiles[1]]
+    lemmas2 = [lm for lm, _ in ps.profiles[2]]
     assert "fish" in lemmas1 and "net" in lemmas1
     assert "steel" in lemmas2 and "furnace" in lemmas2
     assert "the" not in lemmas1 and "the" not in lemmas2
@@ -93,7 +94,7 @@ def test_train_profiles_weights_non_increasing_and_capped():
     config = TrainingConfig(max_associates=1)
     ps = train_profiles(make_training_corpus(), flat_thesaurus(2), config)
     for profile in ps.profiles.values():
-        weights = [w for _, w in profile.associates]
+        weights = [w for _, w in profile]
         assert len(weights) <= 1
         assert all(w > 0 for w in weights)
         assert weights == sorted(weights, reverse=True)
@@ -104,7 +105,7 @@ def test_train_profiles_min_doc_freq_filter():
     # "rare" appears in a single subset document
     corpus[0] = doc("f0", {1}, fish=6, net=3, the=5, rare=4)
     ps = train_profiles(corpus, flat_thesaurus(2))
-    assert "rare" not in [lm for lm, _ in ps.profiles[1].associates]
+    assert "rare" not in [lm for lm, _ in ps.profiles[1]]
 
 
 def test_train_profiles_weight_is_g2_times_idf():
@@ -112,7 +113,7 @@ def test_train_profiles_weight_is_g2_times_idf():
     # "fish" under descriptor 1: 24 of the subset's 56 tokens, none of the
     # other 56; it occurs in 4 of the 8 documents
     want = oracle_g2(24, 32, 0, 56) * idf(4, 8, "log_n_over_df_plus_one")
-    got = dict(ps.profiles[1].associates)["fish"]
+    got = dict(ps.profiles[1])["fish"]
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -165,8 +166,7 @@ def reference_train_profiles(corpus, thesaurus, config=None):
         if not scored:
             continue
         scored.sort(key=lambda wl: (-wl[0], wl[1]))
-        associates = [(lm, w) for w, lm in scored[: config.max_associates]]
-        profiles[code] = AssociateProfile.from_associates(code, lang, associates)
+        profiles[code] = [(lm, w) for w, lm in scored[: config.max_associates]]
     if not profiles:
         raise ValidationError("no descriptor has any training document with surviving associates")
     return ProfileSet(lang=lang, profiles=profiles, n_docs=len(docs))
@@ -222,10 +222,11 @@ def test_train_profiles_equals_the_dict_loop_reference(corpus):
     for block_rows in (profiles_module._BINCOUNT_ROWS, 3):
         with mock.patch.object(profiles_module, "_BINCOUNT_ROWS", block_rows):
             got = train_profiles(docs, flat_thesaurus(4), config)
-        assert list(got.profiles) == list(want.profiles)
-        for code, profile in want.profiles.items():
-            # tuples of floats: weights and norms are equal to the last bit
-            assert got.profiles[code] == profile
+        assert list(got.profiles.items()) == list(want.profiles.items())
+        # weights and norms are equal to the last bit, and so is every array
+        assert got.vocab == want.vocab
+        for name in ("codes", "indptr", "indices", "data", "norms"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         assert (got.lang, got.n_docs) == (want.lang, want.n_docs)
 
 
@@ -261,9 +262,9 @@ def test_a_one_shot_iterator_trains_what_its_documents_as_a_list_train():
     )
 
     def exact(ps):
-        return ps.lang, ps.n_docs, {
-            code: ([(lemma, w.hex()) for lemma, w in p.associates], p.norm.hex())
-            for code, p in ps.profiles.items()
+        return ps.lang, ps.n_docs, ps.norms.tolist(), {
+            code: [(lemma, w.hex()) for lemma, w in associates]
+            for code, associates in ps.profiles.items()
         }
 
     for side in (0, 1):
@@ -275,8 +276,8 @@ def test_a_one_shot_iterator_trains_what_its_documents_as_a_list_train():
 
 
 def test_profile_norm_matches_weights():
-    p = AssociateProfile.from_associates(1, "en", [("a", 3.0), ("b", 4.0)])
-    assert p.norm == pytest.approx(5.0)
+    ps = ProfileSet("en", {1: [("a", 3.0), ("b", 4.0)], 2: [("a", 1.0)]}, n_docs=2)
+    assert ps.norms.tolist() == [5.0, 1.0]
 
 
 @given(st.integers(min_value=1, max_value=50), st.integers(min_value=1, max_value=50))
@@ -301,11 +302,10 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.lang == ps.lang
     assert set(loaded.profiles) == set(ps.profiles)
     for code, profile in ps.profiles.items():
-        got = loaded.profiles[code]
-        assert [lm for lm, _ in got.associates] == [lm for lm, _ in profile.associates]
-        # weights are serialized at 6 decimals, so the recomputed norm
-        # matches only up to that quantization
-        assert got.norm == pytest.approx(profile.norm, rel=1e-6)
+        assert [lm for lm, _ in loaded.profiles[code]] == [lm for lm, _ in profile]
+    # weights are serialized at 6 decimals, so the recomputed norms match
+    # only up to that quantization
+    assert loaded.norms == pytest.approx(ps.norms, rel=1e-6)
 
 
 def test_training_is_deterministic(tmp_path):
@@ -355,25 +355,55 @@ def test_load_profiles_rejects_what_save_never_writes(tmp_path, text, where):
 def test_a_profile_set_cannot_be_changed_once_built():
     from xlingua.assign import assign
 
-    given = {1: AssociateProfile.from_associates(1, "en", [("fish", 2.0)])}
+    given = {1: [("fish", 2.0)]}
     ps = ProfileSet(lang="en", profiles=given, n_docs=3)
     given.clear()  # the set keeps its own copy
     query = NormalizedDocument(id="q", lang="en", lemma_freq={"fish": 1}, char_length=4, token_count=1)
     assert assign(query, ps).entries == {1: 1.0}
-    with pytest.raises(AttributeError):
-        ps.profiles.clear()
+    for name in ProfileSet.__slots__ + ("profiles", "other"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(ps, name, getattr(ps, name, None))
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(ps, name)
+    for name in ("codes", "indptr", "indices", "data", "norms"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ps, name)[0] = 0
+    with pytest.raises(TypeError):
+        ps.vocab["net"] = 1
     with pytest.raises(TypeError):
         ps.profiles[2] = ps.profiles[1]
     with pytest.raises(AttributeError):
-        ps.profiles = {}
+        ps.profiles.clear()
     assert assign(query, ps).entries == {1: 1.0} and ps.csr()[1] == {"fish": 0}
+
+
+def test_a_trained_set_holds_at_most_50_bytes_per_associate():
+    # as (lemma, float) tuples beside a cached CSR copy, a set held about
+    # 130 B per associate on the default spec; as the CSR arrays alone,
+    # about 42 B.  The lemma strings belong to the documents, so they are
+    # not counted.
+    from xlingua.normalize import normalize
+    from xlingua.synthesis import SyntheticSpec, generate_synthetic
+
+    corpus = generate_synthetic(SyntheticSpec())
+    res = corpus.resources["en"]
+    docs = [normalize(src, res) for src, _ in corpus.train.pairs]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ps = train_profiles(docs, corpus.thesaurus)
+        gc.collect()  # and so empty the free lists that keep freed tuples traced
+        per_associate = (tracemalloc.get_traced_memory()[0] - before) / len(ps.data)
+    finally:
+        tracemalloc.stop()
+    assert per_associate <= 50, per_associate
 
 
 def test_load_profiles_accepts_equal_consecutive_weights(tmp_path):
     path = tmp_path / "eq.prof"
     path.write_text("PROFILESET en 10\nP 1\nA a 1.000000\nA b 1.000000\n", encoding="utf-8")
     ps = load_profiles(str(path))
-    assert ps.profiles[1].associates == (("a", 1.0), ("b", 1.0))
+    assert ps.profiles[1] == (("a", 1.0), ("b", 1.0))
 
 
 def test_save_load_round_trip_on_synthetic_profiles(tmp_path):

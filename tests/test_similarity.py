@@ -443,6 +443,14 @@ def test_length_model_loader_rejects_non_finite_or_non_positive(tmp_path, mu, si
         LengthModel().set("en", "es", float(mu), float(sigma))
 
 
+def test_length_model_loader_rejects_a_repeated_pair(tmp_path):
+    # the saver writes each pair once; a second line must not win silently
+    path = tmp_path / "twice.lm"
+    path.write_text("PAIR en es 1.1 0.05\nPAIR es en 0.9 0.04\nPAIR en es 1.3 0.07\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"{path}:3: repeated PAIR en es, first given on line 1$"):
+        load_length_model(str(path))
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.2, math.nan])
 def test_length_model_constructor_rejects_what_set_rejects(bad):
     # unchecked, sigma 0 scored an equal-length same-language pair nan, and

@@ -245,14 +245,14 @@ def test_write_corpus_is_loadable(tmp_path):
     res = load_language_resources(str(out / "resources"), "en")
     assert res.stopwords == corpus.resources["en"].stopwords
 
-    train = read_manifest(str(out / "train_manifest.tsv"))
+    train = list(read_manifest(str(out / "train_manifest.tsv")))
     assert len(train) == 2 * len(corpus.train)
     by_id = {d.id: d for d in train}
     for src, tgt in corpus.train.pairs:
         assert by_id[src.id].text == src.text
         assert by_id[src.id].manual_descriptors == src.manual_descriptors
 
-    test = read_manifest(str(out / "test_manifest.tsv"))
+    test = list(read_manifest(str(out / "test_manifest.tsv")))
     assert len(test) == 2 * len(corpus.test)
 
 
