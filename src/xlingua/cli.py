@@ -12,7 +12,7 @@ import dataclasses
 import os
 import sys
 
-from xlingua.assign import DescriptorVector, assign
+from xlingua.assign import DEFAULT_TOP_K, DescriptorVector, assign
 from xlingua.errors import XlinguaError, open_text
 from xlingua.harness import (
     MODES,
@@ -36,6 +36,9 @@ from xlingua.profiles import (
     train_profiles,
 )
 from xlingua.similarity import (
+    DEDUPE_THRESHOLD,
+    DEFAULT_SAME_LANGUAGE_BIAS,
+    DEFAULT_THRESHOLD,
     DocRecord,
     LengthModel,
     SimilarityOptions,
@@ -107,14 +110,14 @@ def _load_records(args) -> tuple[list[DocRecord], str]:
     src_profiles = load_profiles(args.profiles_src)
     tgt_profiles = load_profiles(args.profiles_tgt)
     profile_sets = {src_profiles.lang: src_profiles, tgt_profiles.lang: tgt_profiles}
+    resources = {lang: _resources_for(args, lang) for lang in profile_sets}
     records = []
     for raw in read_manifest(args.candidates):
         if raw.lang not in profile_sets:
             raise XlinguaError(
                 f"document {raw.id}: no profile set for language {raw.lang!r}"
             )
-        res = _resources_for(args, raw.lang)
-        doc = normalize(raw, res)
+        doc = normalize(raw, resources[raw.lang])
         records.append(
             DocRecord(
                 vector=assign(doc, profile_sets[raw.lang], k=args.top_vector),
@@ -132,7 +135,7 @@ def _similarity_opts(args) -> tuple[SimilarityOptions, LengthModel | None]:
     opts = SimilarityOptions(
         use_length_factor=use_lf,
         same_language_bias=args.bias,
-        threshold=getattr(args, "threshold", 0.70),
+        threshold=getattr(args, "threshold", DEFAULT_THRESHOLD),
         top_k=args.top,
     )
     return opts, model
@@ -217,9 +220,8 @@ def _cmd_evaluate(args) -> int:
     spec = SyntheticSpec.from_json(args.spec) if args.spec else SyntheticSpec()
     corpus = generate_synthetic(spec)
     pipeline = build_pipeline(corpus)
-    opts = SimilarityOptions(threshold=args.threshold, same_language_bias=args.bias)
     extra = _t3_distractors(spec) if args.mode == "T3" else None
-    report = run_experiment(pipeline, args.mode, opts, extra_targets=extra)
+    report = run_experiment(pipeline, args.mode, args.threshold, args.bias, extra_targets=extra)
     text = report_to_tsv(report)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -236,10 +238,10 @@ def _add_manifest_search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--candidates", required=True, help="corpus manifest of candidate documents")
     p.add_argument("--resources", help="language resource directory")
     p.add_argument("--length-model", help="length model file (PAIR lines)")
-    p.add_argument("--bias", type=float, default=0.83, help="same-language bias factor")
+    p.add_argument("--bias", type=float, default=DEFAULT_SAME_LANGUAGE_BIAS, help="same-language bias factor")
     p.add_argument("--no-lf", action="store_true", help="disable the length factor")
-    p.add_argument("--top", type=int, default=10, help="matches to return")
-    p.add_argument("--top-vector", type=int, default=100, help="descriptor vector size")
+    p.add_argument("--top", type=int, default=SimilarityOptions.top_k, help="matches to return")
+    p.add_argument("--top-vector", type=int, default=DEFAULT_TOP_K, help="descriptor vector size")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,20 +257,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resources", help="language resource directory")
     p.add_argument("--out", required=True, help="output profile set file")
     p.add_argument("--lang", help="restrict to one manifest language")
-    p.add_argument("--min-doc-freq", type=int, default=2)
-    p.add_argument("--g2-threshold", type=float, default=3.84)
-    p.add_argument("--max-associates", type=int, default=300)
+    p.add_argument("--min-doc-freq", type=int, default=TrainingConfig.min_doc_freq)
+    p.add_argument("--g2-threshold", type=float, default=TrainingConfig.g2_threshold)
+    p.add_argument("--max-associates", type=int, default=TrainingConfig.max_associates)
     p.add_argument(
         "--idf-variant",
         choices=[IDF_LOG_N_OVER_DF, IDF_LOG_N_OVER_DF_PLUS_ONE],
-        default=IDF_LOG_N_OVER_DF_PLUS_ONE,
+        default=TrainingConfig.idf_variant,
     )
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("assign", help="assign descriptors to one document")
     p.add_argument("--profiles", required=True)
     p.add_argument("--doc", required=True, help="plain-text document")
-    p.add_argument("--top", type=int, default=100)
+    p.add_argument("--top", type=int, default=DEFAULT_TOP_K)
     p.add_argument("--resources", help="language resource directory")
     p.add_argument("--thesaurus", help="thesaurus file, used for labels")
     p.add_argument("--id", help="document id (default: file stem)")
@@ -282,12 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-translations", help="threshold decision per query document")
     _add_manifest_search_args(p)
     p.add_argument("--query", help="single query id (default: all source-language docs)")
-    p.add_argument("--threshold", type=float, default=0.70)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.set_defaults(func=_cmd_find_translations)
 
     p = sub.add_parser("dedupe", help="report near-duplicate pairs in a manifest")
     p.add_argument("--candidates", required=True)
-    p.add_argument("--threshold", type=float, default=0.95)
+    p.add_argument("--threshold", type=float, default=DEDUPE_THRESHOLD)
     p.set_defaults(func=_cmd_dedupe)
 
     p = sub.add_parser("gen-corpus", help="generate a synthetic bilingual corpus")
@@ -299,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=MODES)
     p.add_argument("--spec", help="JSON spec file (default: built-in benchmark spec)")
     p.add_argument("--out", required=True, help="report output file (TSV)")
-    p.add_argument("--threshold", type=float, default=0.70)
-    p.add_argument("--bias", type=float, default=0.83)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--bias", type=float, default=DEFAULT_SAME_LANGUAGE_BIAS)
     p.set_defaults(func=_cmd_evaluate)
 
     return parser

@@ -26,8 +26,10 @@ import numpy as np
 from xlingua.assign import assign
 from xlingua.errors import ValidationError
 from xlingua.normalize import normalize
-from xlingua.profiles import ProfileSet, TrainingConfig, train_profiles
+from xlingua.profiles import ProfileSet, train_profiles
 from xlingua.similarity import (
+    DEFAULT_SAME_LANGUAGE_BIAS,
+    DEFAULT_THRESHOLD,
     DocRecord,
     LengthModel,
     SimilarityOptions,
@@ -76,11 +78,7 @@ class Pipeline:
     truth: dict[str, str]
 
 
-def build_pipeline(
-    corpus: SyntheticCorpus,
-    config: TrainingConfig | None = None,
-    k: int = 100,
-) -> Pipeline:
+def build_pipeline(corpus: SyntheticCorpus) -> Pipeline:
     """Train per-language profiles, fit lengths, normalize and assign test docs.
 
     Each trainer reads its language's training documents as they are
@@ -92,8 +90,8 @@ def build_pipeline(
     src_lang, tgt_lang = corpus.train.src_lang, corpus.train.tgt_lang
 
     profiles = {
-        src_lang: train_profiles((normalize(s, res[s.lang]) for s, _ in train), corpus.thesaurus, config),
-        tgt_lang: train_profiles((normalize(t, res[t.lang]) for _, t in train), corpus.thesaurus, config),
+        src_lang: train_profiles((normalize(s, res[s.lang]) for s, _ in train), corpus.thesaurus),
+        tgt_lang: train_profiles((normalize(t, res[t.lang]) for _, t in train), corpus.thesaurus),
     }
 
     model = LengthModel()
@@ -104,8 +102,8 @@ def build_pipeline(
     truth: dict[str, str] = {}
     for raw_s, raw_t in corpus.test.pairs:
         s, t = normalize(raw_s, res[raw_s.lang]), normalize(raw_t, res[raw_t.lang])
-        src_records.append(DocRecord(vector=assign(s, profiles[src_lang], k), char_length=s.char_length))
-        tgt_records.append(DocRecord(vector=assign(t, profiles[tgt_lang], k), char_length=t.char_length))
+        src_records.append(DocRecord(vector=assign(s, profiles[src_lang]), char_length=s.char_length))
+        tgt_records.append(DocRecord(vector=assign(t, profiles[tgt_lang]), char_length=t.char_length))
         truth[s.id] = t.id
         truth[t.id] = s.id
 
@@ -138,14 +136,12 @@ def _variant(
         raise ValidationError("empty candidate set")
     column = {c.id: j for j, c in enumerate(candidates)}
     true_col = np.array([column[truth[q.id]] for q in queries], dtype=np.intp)
-    rows = np.arange(len(queries))
-    true_score = final[rows, true_col][:, None]
+    true_score = final[np.arange(len(queries)), true_col][:, None]
     ahead = (final > true_score) | (
         (final == true_score) & (np.arange(len(candidates))[None, :] < true_col[:, None])
     )
     ranks = 1 + ahead.sum(axis=1)
-    best_col = final.argmax(axis=1)  # first maximum: the smallest id among ties
-    outcomes = list(zip((best_col == true_col).tolist(), final[rows, best_col].tolist()))
+    outcomes = list(zip((ranks == 1).tolist(), final.max(axis=1).tolist()))
     histogram = Counter(ranks.tolist())
     n = len(queries)
     return VariantResult(
@@ -161,17 +157,19 @@ def _variant(
 def run_experiment(
     pipeline: Pipeline,
     mode: str,
-    opts: SimilarityOptions | None = None,
+    threshold: float = DEFAULT_THRESHOLD,
+    same_language_bias: float = DEFAULT_SAME_LANGUAGE_BIAS,
     extra_targets: list[DocRecord] | None = None,
 ) -> EvaluationReport:
     """Run one experiment mode over the pipeline's test documents.
 
+    ``same_language_bias`` applies in the modes that end in W.
     ``extra_targets`` enlarges the target search space for the merged
     T3 mode (distractor documents from a second collection).
     """
     if mode not in MODES:
         raise ValidationError(f"unknown experiment mode {mode!r}; expected one of {MODES}")
-    opts = opts or SimilarityOptions()
+    opts = SimilarityOptions(same_language_bias=same_language_bias, threshold=threshold)
 
     queries = pipeline.src_records
     candidates: list[DocRecord] = list(pipeline.tgt_records)
@@ -228,23 +226,18 @@ def run_experiment(
     )
 
 
-def sweep_threshold(
-    outcomes: list[tuple[bool, float]], step: float = THRESHOLD_GRID_STEP
-) -> list[tuple[float, float, float]]:
-    """(threshold, recall, noise) over a 0..1 grid.
+def sweep_threshold(outcomes: list[tuple[bool, float]]) -> list[tuple[float, float, float]]:
+    """(threshold, recall, noise) over a 0..1 grid of step THRESHOLD_GRID_STEP.
 
     recall: fraction of queries whose true translation ranked first and
     passed the threshold; noise: fraction where a non-translation did.
     """
     if not outcomes:
         raise ValidationError("empty outcome set")
-    if not 0 < step <= 1:  # also refuses NaN
-        raise ValidationError(f"threshold grid step must be in (0, 1], got {step!r}")
     n = len(outcomes)
     table = []
-    steps = round(1.0 / step)
-    for i in range(steps + 1):
-        t = i * step
+    for i in range(round(1.0 / THRESHOLD_GRID_STEP) + 1):
+        t = i * THRESHOLD_GRID_STEP
         recall = sum(1 for ok, s in outcomes if ok and s >= t) / n
         noise = sum(1 for ok, s in outcomes if not ok and s >= t) / n
         table.append((t, recall, noise))

@@ -23,7 +23,7 @@ import operator
 import statistics
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import ClassVar, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -52,10 +52,10 @@ class LengthModel:
     """
 
     pairs: Mapping[tuple[str, str], tuple[float, float]] = field(default_factory=dict)
-    same_lang_sigma: float = 0.2
+    # a same-language pair with no entry has mu 1 and this sigma; not saved
+    same_lang_sigma: ClassVar[float] = 0.2
 
     def __post_init__(self) -> None:
-        _checked(1.0, self.same_lang_sigma)
         pairs = {key: _checked(mu, sigma) for key, (mu, sigma) in self.pairs.items()}
         object.__setattr__(self, "pairs", MappingProxyType(pairs))
 
@@ -500,11 +500,11 @@ def estimate_length_model(
     return mu, sigma
 
 
-def shingles(text: str, size: int = SHINGLE_SIZE) -> frozenset[str]:
-    """Character n-gram shingle set; short texts yield the text itself."""
-    if len(text) < size:
+def shingles(text: str) -> frozenset[str]:
+    """Character SHINGLE_SIZE-gram shingle set; short texts yield the text itself."""
+    if len(text) < SHINGLE_SIZE:
         return frozenset([text]) if text else frozenset()
-    return frozenset(text[i : i + size] for i in range(len(text) - size + 1))
+    return frozenset(text[i : i + SHINGLE_SIZE] for i in range(len(text) - SHINGLE_SIZE + 1))
 
 
 def jaccard(a: frozenset, b: frozenset) -> float:

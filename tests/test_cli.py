@@ -140,6 +140,68 @@ def test_find_translations_reports_decision(workspace, capsys):
 
 
 @pytest.mark.parametrize("command", ["similar", "find-translations"])
+def test_search_loads_each_language_once(workspace, capsys, monkeypatch, command):
+    # the manifest holds 24 documents in two languages; with a real lexicon
+    # a load per document would parse the whole file again each time
+    from xlingua import cli
+
+    calls = []
+    load = cli.load_language_resources
+    monkeypatch.setattr(
+        cli, "load_language_resources", lambda path, lang: calls.append(lang) or load(path, lang)
+    )
+    corpus = workspace / "corpus"
+    code = main([
+        command,
+        "--profiles-src", str(workspace / "en.prof"),
+        "--profiles-tgt", str(workspace / "es.prof"),
+        "--query", "te0000-en",
+        "--candidates", str(corpus / "test_manifest.tsv"),
+        "--resources", str(corpus / "resources"),
+        "--length-model", str(workspace / "model.lm"),
+    ])
+    assert code == 0
+    assert sorted(calls) == ["en", "es"]
+
+
+def test_every_cli_default_is_the_one_the_library_uses():
+    import inspect
+
+    from xlingua.assign import assign
+    from xlingua.cli import build_parser
+    from xlingua.harness import run_experiment
+    from xlingua.profiles import TrainingConfig
+    from xlingua.similarity import SimilarityOptions, dedupe
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    config, opts = TrainingConfig(), SimilarityOptions()
+    search = ["--profiles-src", "a", "--profiles-tgt", "b", "--candidates", "c"]
+    searched = dict(bias=opts.same_language_bias, top=opts.top_k, top_vector=default(assign, "k"))
+    expected = {
+        ("train", "--corpus", "c", "--thesaurus", "t", "--out", "o"): dict(
+            min_doc_freq=config.min_doc_freq,
+            g2_threshold=config.g2_threshold,
+            max_associates=config.max_associates,
+            idf_variant=config.idf_variant,
+        ),
+        ("assign", "--profiles", "p", "--doc", "d"): dict(top=default(assign, "k")),
+        ("similar", *search, "--query", "q"): searched,
+        ("find-translations", *search): dict(searched, threshold=opts.threshold),
+        ("dedupe", "--candidates", "c"): dict(threshold=default(dedupe, "threshold")),
+        ("evaluate", "--mode", "T1ES", "--out", "o"): dict(
+            threshold=default(run_experiment, "threshold"),
+            bias=default(run_experiment, "same_language_bias"),
+        ),
+    }
+    parser = build_parser()
+    for argv, want in expected.items():
+        args = vars(parser.parse_args(list(argv)))
+        assert {name: args[name] for name in want} == want, argv[0]
+
+
+@pytest.mark.parametrize("command", ["similar", "find-translations"])
 def test_search_without_length_model_notes_that_the_length_factor_is_off(
     workspace, capsys, command
 ):

@@ -15,7 +15,6 @@ import pytest
 
 from xlingua.cli import _t3_distractors
 from xlingua.harness import MODES, build_pipeline, report_to_tsv, run_experiment
-from xlingua.similarity import SimilarityOptions
 from xlingua.synthesis import SyntheticSpec, generate_synthetic
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -31,7 +30,7 @@ def default_pipeline():
 def test_default_spec_report_matches_the_golden_file(default_pipeline, mode):
     pipeline, distractors = default_pipeline
     extra = distractors if mode == "T3" else None
-    report = run_experiment(pipeline, mode, SimilarityOptions(), extra_targets=extra)
+    report = run_experiment(pipeline, mode, extra_targets=extra)
     golden = (GOLDEN / f"{mode}.tsv").read_bytes()
     assert report_to_tsv(report).encode("utf-8") == golden
 

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import pytest
@@ -124,17 +123,11 @@ def test_sweep_threshold_endpoints_and_monotonicity(micro_pipeline):
 
 
 def test_sweep_threshold_above_all_scores_gives_zero_recall():
-    table = sweep_threshold([(True, 0.8), (True, 0.9), (False, 0.5)], step=0.05)
+    table = sweep_threshold([(True, 0.8), (True, 0.9), (False, 0.5)])
     by_t = {round(t, 2): (r, n) for t, r, n in table}
     assert by_t[0.0] == (2 / 3, 1 / 3)
     assert by_t[0.85] == (1 / 3, 0.0)
     assert by_t[1.0] == (0.0, 0.0)
-
-
-@pytest.mark.parametrize("step", [0.0, -0.1, math.nan, 2.0])
-def test_sweep_threshold_refuses_a_step_that_makes_no_grid(step):
-    with pytest.raises(ValidationError, match="grid step"):
-        sweep_threshold([(True, 0.8), (False, 0.5)], step=step)
 
 
 def test_build_pipeline_holds_no_normalized_collection():

@@ -205,8 +205,8 @@ def test_estimate_length_model_takes_raw_or_normalized_pairs():
 
 
 def test_shingles_and_jaccard():
-    assert shingles("abcdef", 5) == frozenset({"abcde", "bcdef"})
-    assert shingles("ab", 5) == frozenset({"ab"})
+    assert shingles("abcdef") == frozenset({"abcde", "bcdef"})
+    assert shingles("ab") == frozenset({"ab"})
     assert jaccard(frozenset({"a", "b"}), frozenset({"b", "c"})) == pytest.approx(1 / 3)
     assert jaccard(frozenset(), frozenset()) == 1.0
 
@@ -431,6 +431,24 @@ def test_length_model_round_trip(tmp_path):
     assert loaded.pairs == model.pairs
 
 
+def test_a_length_model_built_with_set_round_trips(tmp_path):
+    model = LengthModel()
+    model.set("en", "es", 1.135, 0.052)
+    model.set("es", "en", 0.881, 0.041)
+    path = tmp_path / "set.lm"
+    save_length_model(model, str(path))
+    loaded = load_length_model(str(path))
+    assert loaded == model
+    assert model.get("en", "en") == loaded.get("en", "en") == (1.0, 0.2)
+
+
+def test_the_same_language_sigma_is_not_a_constructor_argument():
+    # the model file has no line for it, so a model built with another
+    # value would load back with 0.2
+    with pytest.raises(TypeError):
+        LengthModel(same_lang_sigma=0.5)
+
+
 @pytest.mark.parametrize(
     "mu, sigma", [("nan", "nan"), ("1.1", "inf"), ("-inf", "0.05"), ("1.1", "0")]
 )
@@ -455,15 +473,13 @@ def test_length_model_loader_rejects_a_repeated_pair(tmp_path):
 def test_length_model_constructor_rejects_what_set_rejects(bad):
     # unchecked, sigma 0 scored an equal-length same-language pair nan, and
     # find_most_similar then reported an empty candidate set
-    with pytest.raises(ValidationError, match="finite and positive"):
-        LengthModel(same_lang_sigma=bad)
     for pair in ((1.1, bad), (bad, 0.05)):
         with pytest.raises(ValidationError, match="finite and positive"):
             LengthModel(pairs={("en", "es"): (1.0, 0.1), ("es", "en"): pair})
     q = DocRecord(DescriptorVector("q", "en", {1: 1.0}), 100)
     c = DocRecord(DescriptorVector("c", "en", {1: 1.0}), 100)
     opts = SimilarityOptions()
-    match = find_most_similar(q, [c], opts, LengthModel(same_lang_sigma=0.2))
+    match = find_most_similar(q, [c], opts, LengthModel())
     assert [m.final_score for m in match] == [opts.same_language_bias]
 
 
